@@ -35,10 +35,7 @@ struct CostProfile {
   double ht_delete = 12.0;   // tombstone delete
   double ns_per_cycle = 0.45;
   // String-kernel cost per byte streamed through a match (arena bytes are
-  // read sequentially inside one row). Deliberately outside the online
-  // refit's fitted set (cost/feedback.h): the refit regresses tuple-grain
-  // access constants, and mixing a byte-grain term in would let string
-  // workloads skew the numeric fits.
+  // read sequentially inside one row).
   double str_seq_byte = 0.03;
 
   // Cache capacities (bytes) and per-level lookup costs.

@@ -168,11 +168,11 @@ struct AdmissionWaitInfo {
 const AdmissionWaitInfo& LastAdmissionWaitOnThread();
 
 /// RAII admission for one engine execution against the global controller.
-/// Engines construct it at the top of Execute and return status() when not
-/// OK. Re-entrant per thread: the degradation and JIT-fallback retries of
-/// one logical query re-enter engine Execute on the same driver thread and
-/// must not be double-counted (or deadlock against their own slot), so
-/// only the outermost scope on a thread admits.
+/// exec::RunQuery (exec/query_boundary.h) constructs it before any work and
+/// returns status() when not OK. Re-entrant per thread: the degradation and
+/// JIT-fallback retries of one logical query re-enter engine Execute on the
+/// same driver thread and must not be double-counted (or deadlock against
+/// their own slot), so only the outermost scope on a thread admits.
 class AdmissionScope {
  public:
   explicit AdmissionScope(const std::string& tenant);

@@ -94,6 +94,22 @@ class HashTable {
     if (mem_hook_ != nullptr) ChargeDelta(ByteSize());
   }
 
+  /// Empties the table down to the footprint of a fresh
+  /// HashTable(payload_width(), expected_keys), keeping the memory hook.
+  /// The switch is charged as one net delta — a release whenever the table
+  /// had grown — so emptying a table is never refused, even while other
+  /// tables on the same context hold the whole budget.
+  void Reset(int64_t expected_keys = 16) {
+    HashTable fresh(payload_width_, expected_keys);  // unhooked
+    ChargeDelta(fresh.ByteSize() - tracked_bytes_);
+    capacity_ = fresh.capacity_;
+    mask_ = fresh.mask_;
+    size_ = 0;
+    tombstones_ = 0;
+    keys_ = std::move(fresh.keys_);
+    payload_ = std::move(fresh.payload_);
+  }
+
   int payload_width() const { return payload_width_; }
   int64_t size() const { return size_; }
   int64_t capacity() const { return capacity_; }

@@ -8,6 +8,23 @@
 namespace swole {
 
 namespace {
+// Mirror of a comparison with swapped operands (lit < col  ==  col > lit).
+kernels::CmpOp FlipCmpOp(kernels::CmpOp op) {
+  switch (op) {
+    case kernels::CmpOp::kLt:
+      return kernels::CmpOp::kGt;
+    case kernels::CmpOp::kLe:
+      return kernels::CmpOp::kGe;
+    case kernels::CmpOp::kGt:
+      return kernels::CmpOp::kLt;
+    case kernels::CmpOp::kGe:
+      return kernels::CmpOp::kLe;
+    default:
+      return op;  // kEq/kNe are symmetric
+  }
+}
+}  // namespace
+
 kernels::CmpOp ToCmpOp(BinaryOp op) {
   switch (op) {
     case BinaryOp::kLt:
@@ -27,23 +44,6 @@ kernels::CmpOp ToCmpOp(BinaryOp op) {
       return kernels::CmpOp::kEq;
   }
 }
-
-// Mirror of a comparison with swapped operands (lit < col  ==  col > lit).
-kernels::CmpOp FlipCmpOp(kernels::CmpOp op) {
-  switch (op) {
-    case kernels::CmpOp::kLt:
-      return kernels::CmpOp::kGt;
-    case kernels::CmpOp::kLe:
-      return kernels::CmpOp::kGe;
-    case kernels::CmpOp::kGt:
-      return kernels::CmpOp::kLt;
-    case kernels::CmpOp::kGe:
-      return kernels::CmpOp::kLe;
-    default:
-      return op;  // kEq/kNe are symmetric
-  }
-}
-}  // namespace
 
 VectorEvaluator::VectorEvaluator(const Table& table, int64_t tile_size)
     : table_(table), tile_size_(tile_size) {

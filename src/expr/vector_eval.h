@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "exec/kernels.h"
 #include "exec/simd_string.h"
 #include "expr/expr.h"
 
@@ -19,6 +20,10 @@
 namespace swole {
 
 class Table;
+
+/// The kernel comparison for a comparison BinaryOp; CHECK-fails on any
+/// other op.
+kernels::CmpOp ToCmpOp(BinaryOp op);
 
 class VectorEvaluator {
  public:

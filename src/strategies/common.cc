@@ -29,26 +29,6 @@ void CountScanTile() {
   (kernels::WidenEnabled() ? widened : native).Add(1);
 }
 
-kernels::CmpOp ToCmpOp(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kLt:
-      return kernels::CmpOp::kLt;
-    case BinaryOp::kLe:
-      return kernels::CmpOp::kLe;
-    case BinaryOp::kGt:
-      return kernels::CmpOp::kGt;
-    case BinaryOp::kGe:
-      return kernels::CmpOp::kGe;
-    case BinaryOp::kEq:
-      return kernels::CmpOp::kEq;
-    case BinaryOp::kNe:
-      return kernels::CmpOp::kNe;
-    default:
-      SWOLE_CHECK(false);
-      return kernels::CmpOp::kEq;
-  }
-}
-
 // True for `col OP lit` / `lit OP col` conjuncts; extracts the pieces.
 bool AsSimpleComparison(const Expr& expr, const Table& table,
                         const Column** col, kernels::CmpOp* op,
@@ -912,13 +892,11 @@ void GroupTable::SpillAndReset() {
   // itself) must classify on its own, not as the recovered budget abort.
   if (ctx_ != nullptr) ctx_->ClearRecoveredBudgetAbort();
   exec::ThrowIfError(spill_->SpillTable(table_, HashTable::kMaskKey));
-  // Move-assigning a fresh table releases the full old charge through the
-  // hook before the minimum footprint is charged back.
-  table_ = HashTable(1 + num_aggs_, 16);
-  if (ctx_ != nullptr) {
-    table_.SetMemHook(exec::QueryContext::MemHookThunk, ctx_, site_);
-    ctx_->CountSpill();
-  }
+  // A pure release: re-charging an empty table's footprint after freeing
+  // the old one could be refused by siblings at their transient peaks,
+  // and that refusal would escape the spill retry as a budget abort.
+  table_.Reset();
+  if (ctx_ != nullptr) ctx_->CountSpill();
   table_.GetOrInsert(HashTable::kMaskKey);
 }
 
@@ -1235,6 +1213,36 @@ double AvgFactReadWidthBytes(const Table& fact, const QueryPlan& plan) {
     bytes += PhysicalTypeSize(fact.ColumnRef(ref).type().physical);
   }
   return static_cast<double>(bytes) / static_cast<double>(refs.size());
+}
+
+int FindGroupjoinDim(const QueryPlan& plan) {
+  if (plan.group_by == nullptr ||
+      plan.group_by->kind != ExprKind::kColumnRef) {
+    return -1;
+  }
+  for (size_t d = 0; d < plan.dims.size(); ++d) {
+    if (plan.dims[d].hop.fk_column == plan.group_by->column) {
+      return static_cast<int>(d);
+    }
+  }
+  return -1;
+}
+
+exec::QueryBoundary BoundaryFor(const char* engine, const QueryPlan& plan,
+                                const Catalog& catalog,
+                                const StrategyOptions& options) {
+  exec::QueryBoundary boundary;
+  boundary.engine = engine;
+  boundary.plan = &plan;
+  boundary.catalog = &catalog;
+  boundary.tenant = options.tenant;
+  boundary.query_ctx = options.query_ctx;
+  boundary.mem_limit_bytes = options.mem_limit_bytes;
+  boundary.deadline_ms = options.deadline_ms;
+  boundary.trace = options.trace;
+  boundary.priority = options.priority;
+  boundary.spill = options.spill;
+  return boundary;
 }
 
 int64_t ExpectedGroups(const Catalog& catalog, const QueryPlan& plan) {

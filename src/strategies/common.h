@@ -6,6 +6,7 @@
 
 #include "exec/hash_table.h"
 #include "exec/kernels.h"
+#include "exec/query_boundary.h"
 #include "exec/query_context.h"
 #include "expr/vector_eval.h"
 #include "plan/plan.h"
@@ -267,7 +268,6 @@ class GroupTable {
 
   HashTable& table() { return table_; }
   const HashTable& table() const { return table_; }
-  int64_t ht_bytes() const { return table_.ByteSize(); }
 
   /// Extracts the final result. Drops the throwaway entry; drops untouched
   /// groups unless `keep_untouched` (Q13's left-outer zero counts).
@@ -345,6 +345,16 @@ QueryResult MakeScalarResult(const QueryPlan& plan, const int64_t* acc);
 
 /// Applies Q13's histogram post-step to a grouped result.
 QueryResult HistogramOfAgg0(const QueryResult& grouped);
+
+/// Index of the dimension whose join key doubles as the group-by key (the
+/// groupjoin fusion of §III-E / TPC-H Q3, Q13), or -1.
+int FindGroupjoinDim(const QueryPlan& plan);
+
+/// The query boundary (exec::RunQuery) of a strategy engine's Execute:
+/// `options`' tenant, governance, priority, spill and trace settings.
+exec::QueryBoundary BoundaryFor(const char* engine, const QueryPlan& plan,
+                                const Catalog& catalog,
+                                const StrategyOptions& options);
 
 /// Expected group count: plan hint, or a sampled estimate.
 int64_t ExpectedGroups(const Catalog& catalog, const QueryPlan& plan);

@@ -45,22 +45,13 @@ class SwoleStrategy : public Strategy {
   /// Runs the cost-model analysis for `plan`, memoized per plan object
   /// (the paper's timings cover query processing, not planning — repeated
   /// executions of the same plan reuse the decisions). Thread-safe: the
-  /// cache is mutex-guarded and entries are stable once published. Under
-  /// SWOLE_COST_REFIT=apply the analysis is made on the refitted profile
-  /// and keyed on the feedback epoch: when the fitted scales move
-  /// materially, the plan re-analyzes (the superseded entry is retired,
-  /// not destroyed, so references held by in-flight executions stay
-  /// valid); with refit off, memoization behaves exactly as before.
+  /// cache is mutex-guarded and entries are stable once published.
   const CachedAnalysis& Analyze(const QueryPlan& plan);
 
-  /// Mid-query re-decision (ExecuteGeneral / ExecuteGroupjoin): re-runs
-  /// the aggregation-technique choice with build-phase observations
-  /// substituted for estimates. Returns the (possibly overturned) choice;
-  /// records the decision on the trace root and in decisions_.rationale.
-  AggChoice ReDecideAggregation(const PlanAnalysis& analysis,
-                                double fact_rows, double observed_sigma,
-                                int64_t observed_ht_bytes,
-                                exec::QueryContext* qctx, const char* where);
+  /// Execute's body inside the query boundary: the pullup plan, then the
+  /// data-centric degradation retry after a budget breach.
+  Result<QueryResult> ExecuteGoverned(const QueryPlan& plan,
+                                      exec::QueryContext* qctx);
 
   Result<QueryResult> ExecuteEagerAggregation(const QueryPlan& plan,
                                               const PlanAnalysis& analysis,
@@ -81,9 +72,9 @@ class SwoleStrategy : public Strategy {
   mutable std::mutex analysis_mu_;
   std::map<const QueryPlan*, std::unique_ptr<CachedAnalysis>>
       analysis_cache_;
-  // Entries superseded by a refit-epoch change. Kept alive (not destroyed)
-  // because concurrent Executes may still hold references; growth is
-  // bounded by material model shifts, not by query count.
+  // Entries superseded by a SWOLE_STR_PLACEMENT change or a reused plan
+  // address. Kept alive (not destroyed) because concurrent Executes may
+  // still hold references.
   std::vector<std::unique_ptr<CachedAnalysis>> retired_analyses_;
 };
 

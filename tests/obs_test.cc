@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <string>
@@ -19,12 +20,14 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/status.h"
+#include "engine/reference_engine.h"
 #include "exec/query_context.h"
 #include "micro/micro.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
 #include "obs/trace.h"
 #include "strategies/strategy.h"
+#include "strategies/swole.h"
 
 // Counting global allocator: the disabled-trace hot path must allocate
 // nothing, and only an operator-new override can prove that. Counting is
@@ -359,21 +362,103 @@ TEST_F(ObsTest, ConcurrentTracedQueriesAreSafe) {
   for (std::thread& th : threads) th.join();
 }
 
+// The query-boundary contract (exec::RunQuery), held by every entry point:
+// each call counts exactly once in queries.<engine> and records exactly one
+// query.latency_us.<engine> sample, whatever the outcome — including the
+// retries a body makes — and the same fault surfaces as the same Status
+// code everywhere.
 TEST_F(ObsTest, EngineExecutionBumpsStrategyCounters) {
-  obs::Counter& queries =
-      obs::MetricsRegistry::Global().GetCounter("queries.swole");
-  obs::Histogram& latency =
-      obs::MetricsRegistry::Global().GetHistogram("query.latency_us.swole");
-  const int64_t queries_before = queries.value();
-  const int64_t latency_before = latency.count();
-  std::unique_ptr<Strategy> engine =
-      MakeStrategy(StrategyKind::kSwole, micro_->catalog, {});
-  ASSERT_TRUE(engine->Execute(ScalarPlan()).ok());
-  EXPECT_EQ(queries.value(), queries_before + 1);
-  EXPECT_EQ(latency.count(), latency_before + 1);
+  struct Outcome {
+    StatusCode code;
+    bool degraded;
+  };
+  struct EntryPoint {
+    const char* engine;
+    std::function<Outcome(const QueryPlan&)> run;
+  };
+  std::vector<EntryPoint> entries;
+  for (StrategyKind kind : {StrategyKind::kDataCentric, StrategyKind::kHybrid,
+                            StrategyKind::kRof}) {
+    entries.push_back(
+        {StrategyKindName(kind), [&, kind](const QueryPlan& plan) {
+           std::unique_ptr<Strategy> engine =
+               MakeStrategy(kind, micro_->catalog, {});
+           return Outcome{engine->Execute(plan).status().code(), false};
+         }});
+  }
+  entries.push_back({"swole", [&](const QueryPlan& plan) {
+                       std::unique_ptr<SwoleStrategy> engine =
+                           MakeSwoleStrategy(micro_->catalog);
+                       const StatusCode code =
+                           engine->Execute(plan).status().code();
+                       return Outcome{
+                           code,
+                           engine->last_decisions().degraded_to_data_centric};
+                     }});
+  entries.push_back({"reference", [&](const QueryPlan& plan) {
+                       ReferenceEngine engine(micro_->catalog);
+                       return Outcome{engine.Execute(plan).status().code(),
+                                      false};
+                     }});
+  entries.push_back({"jit", [&](const QueryPlan& plan) {
+                       GeneratorOptions gen;
+                       gen.strategy = StrategyKind::kSwole;
+                       ExecutionReport report;
+                       const StatusCode code =
+                           codegen::ExecuteWithFallback(plan, micro_->catalog,
+                                                        gen, {}, &report)
+                               .status()
+                               .code();
+                       return Outcome{code, report.used_fallback};
+                     }});
 
-  obs::Counter& runs =
-      obs::MetricsRegistry::Global().GetCounter("scheduler.runs");
+  // A huge (non-binding) env limit governs every entry point alike — the
+  // JIT entry takes no external context.
+  ScopedEnv limit("SWOLE_MEM_LIMIT", "1099511627776");
+  struct Scenario {
+    const char* name;
+    std::vector<const char*> faults;
+    StatusCode code;
+    bool pullups_degrade;  // SWOLE and JIT-SWOLE retry data-centric
+  };
+  const Scenario scenarios[] = {
+      {"success", {}, StatusCode::kOk, false},
+      {"injected deadline", {"deadline_fire"}, StatusCode::kDeadlineExceeded,
+       false},
+      // Refuses only the pullup plans' positional bitmaps: SWOLE and
+      // JIT-SWOLE breach and degrade; every other engine is untouched.
+      {"pullup budget breach",
+       {"dim_bitmap", "jit_dim_bitmap"},
+       StatusCode::kOk,
+       true},
+  };
+  const QueryPlan plan = JoinPlan();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  for (const Scenario& scenario : scenarios) {
+    for (const EntryPoint& entry : entries) {
+      SCOPED_TRACE(std::string(scenario.name) + " / " + entry.engine);
+      obs::Counter& queries =
+          registry.GetCounter(std::string("queries.") + entry.engine);
+      obs::Histogram& latency = registry.GetHistogram(
+          std::string("query.latency_us.") + entry.engine);
+      const int64_t queries_before = queries.value();
+      const int64_t latency_before = latency.count();
+      FaultInjector::Global().ClearAll();
+      for (const char* fault : scenario.faults) {
+        FaultInjector::Global().SetFault(fault, 1.0);
+      }
+      const Outcome outcome = entry.run(plan);
+      FaultInjector::Global().ClearAll();
+      EXPECT_EQ(outcome.code, scenario.code);
+      const bool pullup = std::string(entry.engine) == "swole" ||
+                          std::string(entry.engine) == "jit";
+      EXPECT_EQ(outcome.degraded, scenario.pullups_degrade && pullup);
+      EXPECT_EQ(queries.value(), queries_before + 1);
+      EXPECT_EQ(latency.count(), latency_before + 1);
+    }
+  }
+
+  obs::Counter& runs = registry.GetCounter("scheduler.runs");
   EXPECT_GT(runs.value(), 0);
 }
 
