@@ -891,10 +891,7 @@ Result<GeneratedKernel> GenerateKernel(const QueryPlan& plan,
   unit.Line(StringFormat(
       "// Generated by swole::codegen — plan '%s', strategy %s.",
       plan.name.c_str(), StrategyKindName(options.strategy)));
-  unit.Line("#include <cstdint>");
-  unit.Line("#include \"exec/hash_table.h\"");
-  unit.Line("#include \"exec/kernels.h\"");
-  unit.Line("#include \"storage/bitmap.h\"");
+  unit.Line("#include \"codegen/kernel_prelude.h\"");
   unit.Line("");
   if (slots.HasLikes()) {
     unit.Line("// Compiled LIKE programs, one per distinct pattern.");

@@ -24,13 +24,18 @@
 #include "storage/table.h"
 #include "strategies/strategy.h"
 
-// The include root for the header-only runtime the generated code uses,
-// injected by the build (src/CMakeLists.txt).
+// Injected by the build (src/CMakeLists.txt): the include root for the
+// header-only runtime the generated code uses, the JIT's default flags, and
+// the two artifacts built with those flags — the include dir holding the
+// precompiled kernel prelude and the logging runtime object every kernel
+// links.
 #ifndef SWOLE_SOURCE_DIR
 #define SWOLE_SOURCE_DIR "."
 #endif
 
 namespace swole::codegen {
+
+const char kDefaultJitFlags[] = SWOLE_JIT_FLAGS;
 
 SWOLE_REGISTER_FAULT_SITE("jit_workdir",
                           "JIT work-dir creation (mkdtemp)")
@@ -263,8 +268,6 @@ Result<std::unique_ptr<CompiledKernel>> CompileKernel(
     out << kernel.source;
   }
 
-  // The generated unit needs the logging runtime (CHECK failures in the
-  // shared hash table); compile it in rather than exporting host symbols.
   int64_t timeout_ms =
       GetEnvInt64("SWOLE_JIT_TIMEOUT_MS", options.compile_timeout_ms);
 
@@ -286,14 +289,24 @@ Result<std::unique_ptr<CompiledKernel>> CompileKernel(
       stats.compile_failures.Add(1);
       continue;
     }
+    std::vector<std::string> flags = SplitFlags(rungs[attempt]);
     std::vector<std::string> argv = {compiler, "-std=c++20"};
-    for (std::string& flag : SplitFlags(rungs[attempt])) {
-      argv.push_back(std::move(flag));
+    argv.insert(argv.end(), flags.begin(), flags.end());
+    argv.insert(argv.end(), {"-shared", "-fPIC", "-DNDEBUG"});
+    // The precompiled prelude shadows codegen/kernel_prelude.h only on the
+    // rung it was built for: GCC also accepts it under other -O levels but
+    // then emits different code. A compiler that refuses it (another
+    // binary, another -march) falls through to the header in the source
+    // tree.
+    if (flags == SplitFlags(kDefaultJitFlags)) {
+      argv.push_back("-I" SWOLE_PRELUDE_DIR);
     }
+    // The generated unit needs the logging runtime (CHECK failures in the
+    // shared hash table); link the prebuilt object rather than exporting
+    // host symbols.
     argv.insert(argv.end(),
-                {"-shared", "-fPIC", "-DNDEBUG", "-I" SWOLE_SOURCE_DIR,
-                 source_path, SWOLE_SOURCE_DIR "/common/logging.cc", "-o",
-                 library_path});
+                {"-I" SWOLE_SOURCE_DIR, source_path, SWOLE_RUNTIME_OBJECT,
+                 "-o", library_path});
     SubprocessOptions sub_options;
     sub_options.timeout_ms = timeout_ms;
     stats.compiles.Add(1);

@@ -37,12 +37,18 @@ class QueryContext;
 
 namespace swole::codegen {
 
+/// The JIT's default first-rung flags ("-O3 -march=native"), fixed by the
+/// build (SWOLE_JIT_FLAGS in src/CMakeLists.txt), which also builds the
+/// precompiled kernel prelude and the kernel runtime object with them.
+extern const char kDefaultJitFlags[];
+
 struct JitOptions {
   // Compiler binary; the SWOLE_CXX env var overrides. A single executable
   // path — flags go in extra_flags / degrade_flags.
   std::string compiler = "c++";
-  // First rung of the flag ladder.
-  std::string extra_flags = "-O3 -march=native";
+  // First rung of the flag ladder. Only a rung equal to kDefaultJitFlags
+  // compiles against the precompiled kernel prelude.
+  std::string extra_flags = kDefaultJitFlags;
   // Successive rungs tried when a compile fails or times out (the
   // HeteroDB-style "default variant" degradation). Empty = no retries.
   std::vector<std::string> degrade_flags = {"-O2", "-O0"};

@@ -163,13 +163,22 @@ namespace {
 ExprPtr MicroPredicate(int64_t sel) {
   return And(Lt(Col("r_x"), Lit(sel)), Eq(Col("r_y"), Lit(1)));
 }
+
+// Every micro plan scans r. The table name is moved in as a std::string:
+// assigning the literal into a fresh plan trips a GCC 12 -Wrestrict false
+// positive inside std::string::_M_replace.
+QueryPlan PlanOverR(std::string name) {
+  QueryPlan plan;
+  plan.name = std::move(name);
+  plan.fact_table = std::string("r");
+  return plan;
+}
 }  // namespace
 
 QueryPlan MicroQ1(bool division, int64_t sel) {
-  QueryPlan plan;
-  plan.name = StringFormat("micro_q1_%s_sel%lld", division ? "div" : "mul",
-                           static_cast<long long>(sel));
-  plan.fact_table = "r";
+  QueryPlan plan =
+      PlanOverR(StringFormat("micro_q1_%s_sel%lld", division ? "div" : "mul",
+                             static_cast<long long>(sel)));
   plan.fact_filter = MicroPredicate(sel);
   ExprPtr agg = division ? Div(Col("r_a"), Col("r_b"))
                          : Mul(Col("r_a"), Col("r_b"));
@@ -179,10 +188,9 @@ QueryPlan MicroQ1(bool division, int64_t sel) {
 
 QueryPlan MicroQ2(const std::string& c_column, int64_t c_cardinality,
                   int64_t sel) {
-  QueryPlan plan;
-  plan.name = StringFormat("micro_q2_%s_sel%lld", c_column.c_str(),
-                           static_cast<long long>(sel));
-  plan.fact_table = "r";
+  QueryPlan plan =
+      PlanOverR(StringFormat("micro_q2_%s_sel%lld", c_column.c_str(),
+                             static_cast<long long>(sel)));
   plan.fact_filter = MicroPredicate(sel);
   plan.group_by = Col(c_column);
   plan.group_cardinality_hint = c_cardinality;
@@ -192,11 +200,9 @@ QueryPlan MicroQ2(const std::string& c_column, int64_t c_cardinality,
 }
 
 QueryPlan MicroQ3(bool reuse_both, int64_t sel) {
-  QueryPlan plan;
-  plan.name = StringFormat("micro_q3_%s_sel%lld",
-                           reuse_both ? "both" : "one",
-                           static_cast<long long>(sel));
-  plan.fact_table = "r";
+  QueryPlan plan = PlanOverR(StringFormat("micro_q3_%s_sel%lld",
+                                          reuse_both ? "both" : "one",
+                                          static_cast<long long>(sel)));
   plan.fact_filter = MicroPredicate(sel);
   ExprPtr agg = reuse_both ? Mul(Col("r_x"), Col("r_y"))
                            : Mul(Col("r_x"), Col("r_b"));
@@ -207,12 +213,9 @@ QueryPlan MicroQ3(bool reuse_both, int64_t sel) {
 QueryPlan MicroQ4(bool large_s, int64_t sel1, int64_t sel2) {
   const char* s_table = large_s ? "s_large" : "s_small";
   const char* fk = large_s ? "r_fk_large" : "r_fk_small";
-  QueryPlan plan;
-  plan.name =
-      StringFormat("micro_q4_%s_sel%lld_%lld", s_table,
-                   static_cast<long long>(sel1),
-                   static_cast<long long>(sel2));
-  plan.fact_table = "r";
+  QueryPlan plan = PlanOverR(StringFormat(
+      "micro_q4_%s_sel%lld_%lld", s_table, static_cast<long long>(sel1),
+      static_cast<long long>(sel2)));
   plan.fact_filter = Lt(Col("r_x"), Lit(sel1));
   DimJoin dim;
   dim.hop = {fk, s_table, "s_pk"};
@@ -226,10 +229,8 @@ QueryPlan MicroQ4(bool large_s, int64_t sel1, int64_t sel2) {
 QueryPlan MicroQ5(bool large_s, int64_t sel, int64_t s_rows) {
   const char* s_table = large_s ? "s_large" : "s_small";
   const char* fk = large_s ? "r_fk_large" : "r_fk_small";
-  QueryPlan plan;
-  plan.name = StringFormat("micro_q5_%s_sel%lld", s_table,
-                           static_cast<long long>(sel));
-  plan.fact_table = "r";
+  QueryPlan plan = PlanOverR(StringFormat("micro_q5_%s_sel%lld", s_table,
+                                          static_cast<long long>(sel)));
   DimJoin dim;
   dim.hop = {fk, s_table, "s_pk"};
   dim.filter = Lt(Col("s_x"), Lit(sel));
@@ -244,10 +245,8 @@ QueryPlan MicroQ5(bool large_s, int64_t sel, int64_t s_rows) {
 QueryPlan MicroQ6(bool large_s, int64_t sel) {
   const char* s_table = large_s ? "s_large" : "s_small";
   const char* fk = large_s ? "r_fk_large" : "r_fk_small";
-  QueryPlan plan;
-  plan.name = StringFormat("micro_q6_%s_sel%lld", s_table,
-                           static_cast<long long>(sel));
-  plan.fact_table = "r";
+  QueryPlan plan = PlanOverR(StringFormat("micro_q6_%s_sel%lld", s_table,
+                                          static_cast<long long>(sel)));
   plan.fact_filter = Like("r_s", "%zebra%");
   DimJoin dim;
   dim.hop = {fk, s_table, "s_pk"};

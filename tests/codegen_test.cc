@@ -5,6 +5,7 @@
 // selectivities, and plan shapes.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <fstream>
 #include <memory>
@@ -267,6 +268,12 @@ TEST_F(CodegenTest, KeepArtifactsLeavesSourceOnDisk) {
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   std::ifstream source((*compiled)->source_path());
   EXPECT_TRUE(source.good());
+  // Drop the kept artifacts and their work dir.
+  const std::string& source_path = (*compiled)->source_path();
+  ::unlink(source_path.c_str());
+  ::unlink((*compiled)->library_path().c_str());
+  EXPECT_EQ(::rmdir(source_path.substr(0, source_path.rfind('/')).c_str()), 0)
+      << source_path;
 }
 
 }  // namespace

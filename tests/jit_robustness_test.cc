@@ -13,8 +13,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "codegen/jit.h"
 #include "codegen/kernel_cache.h"
@@ -298,6 +301,149 @@ TEST_F(JitRobustnessTest, TimeoutKillsHungCompilerAndFallbackServes) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(report.used_fallback);
   EXPECT_EQ(*result, Oracle(plan));
+}
+
+// ---- precompiled kernel prelude ----
+
+// A fake-compiler script that runs the system compiler with -H, which
+// lists every header the compile opens on stderr: "! <gch>" for a
+// precompiled header it used, "x <gch>" for one it refused. The listing is
+// appended to `log`; `trailing_flags` follow the JIT's own arguments.
+std::string IncludeTracingCompiler(const std::string& log,
+                                   const std::string& trailing_flags = "") {
+  return "#!/bin/sh\nexec c++ \"$@\" -H " + trailing_flags + " 2>>" + log +
+         "\n";
+}
+
+// The lines of `log` that end in `suffix`.
+std::vector<std::string> LogLinesEndingIn(const std::string& log,
+                                          const std::string& suffix) {
+  std::ifstream in(log);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    if (line.ends_with(suffix)) lines.push_back(line);
+  }
+  return lines;
+}
+
+constexpr char kPreludeGch[] = "/codegen/kernel_prelude.h.gch";
+constexpr char kPreludeHeader[] = "/codegen/kernel_prelude.h";
+
+TEST_F(JitRobustnessTest, DefaultFlagsCompileAgainstFreshPrecompiledPrelude) {
+  // The tracing wrapper is also the same compiler under another path: the
+  // prelude is chosen by the rung's flags, never by the compiler's path.
+  std::string log = *script_dir_ + "/default_flags.log";
+  ScopedEnv cxx("SWOLE_CXX",
+                WriteScript("trace_default.sh", IncludeTracingCompiler(log)));
+  JitOptions jit;
+  jit.use_cache = false;
+  jit.degrade_flags.clear();
+  QueryPlan plan = MicroQ1(false, 41);
+  Result<std::unique_ptr<CompiledKernel>> compiled =
+      codegen::GenerateAndCompile(plan, data_->catalog, SwoleOptions(), jit);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  Result<QueryResult> result = (*compiled)->Run(data_->catalog);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result, Oracle(plan));
+
+  // Taken, not refused, and not missing.
+  std::vector<std::string> used = LogLinesEndingIn(log, kPreludeGch);
+  ASSERT_EQ(used.size(), 1u);
+  ASSERT_EQ(used[0].rfind("! ", 0), 0u) << used[0];
+
+  // Not stale: nothing the prelude pulls in changed after it was built.
+  std::string gch = used[0].substr(2);
+  std::filesystem::file_time_type built = std::filesystem::last_write_time(gch);
+  std::ifstream depfile(gch + ".d");
+  ASSERT_TRUE(depfile.good()) << gch << ".d";
+  std::string token;
+  depfile >> token;  // the rule's target, "<gch>:"
+  bool saw_hash_table = false;
+  while (depfile >> token) {
+    if (token == "\\") continue;
+    saw_hash_table |= token.ends_with("/exec/hash_table.h");
+    EXPECT_LE(std::filesystem::last_write_time(token), built)
+        << token << " changed after " << gch << " was built";
+  }
+  EXPECT_TRUE(saw_hash_table);
+}
+
+TEST_F(JitRobustnessTest, NonDefaultFlagRungsCompileWithoutThePrelude) {
+  // GCC accepts the prelude under other -O levels too, but then emits
+  // different code: only a rung with exactly the prelude's flags uses it.
+  std::string log = *script_dir_ + "/other_flags.log";
+  ScopedEnv cxx("SWOLE_CXX",
+                WriteScript("trace_other.sh", IncludeTracingCompiler(log)));
+  QueryPlan plan = MicroQ1(false, 43);
+  QueryResult expected = Oracle(plan);
+  {
+    JitOptions jit;
+    jit.use_cache = false;
+    jit.extra_flags = "-O2";
+    jit.degrade_flags.clear();
+    Result<std::unique_ptr<CompiledKernel>> compiled =
+        codegen::GenerateAndCompile(plan, data_->catalog, SwoleOptions(), jit);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    Result<QueryResult> result = (*compiled)->Run(data_->catalog);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(*result, expected);
+  }
+  {
+    // An injected compile failure on the default rung pushes the ladder
+    // onto -O2. Pick the seed whose first two draws are fail, then pass.
+    uint64_t seed = 0;
+    for (;; ++seed) {
+      ASSERT_TRUE(FaultInjector::Global().Configure("jit_compile:0.5", seed)
+                      .ok());
+      bool first = FaultInjector::Global().ShouldFail("jit_compile");
+      if (first && !FaultInjector::Global().ShouldFail("jit_compile")) break;
+    }
+    ASSERT_TRUE(
+        FaultInjector::Global().Configure("jit_compile:0.5", seed).ok());
+    JitOptions jit;
+    jit.use_cache = false;
+    jit.degrade_flags = {"-O2"};
+    JitStats::Snapshot before = codegen::GlobalJitStats().snapshot();
+    Result<std::unique_ptr<CompiledKernel>> compiled =
+        codegen::GenerateAndCompile(plan, data_->catalog, SwoleOptions(), jit);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    JitStats::Snapshot after = codegen::GlobalJitStats().snapshot();
+    EXPECT_EQ(after.retries - before.retries, 1);
+    EXPECT_EQ(FaultInjector::Global().InjectedCount("jit_compile"), 1);
+    Result<QueryResult> result = (*compiled)->Run(data_->catalog);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(*result, expected);
+  }
+
+  // Both compiles parsed the prelude header; neither saw the precompiled
+  // copy, accepted or refused.
+  EXPECT_EQ(LogLinesEndingIn(log, kPreludeHeader).size(), 2u);
+  std::vector<std::string> gch_lines = LogLinesEndingIn(log, kPreludeGch);
+  EXPECT_TRUE(gch_lines.empty()) << gch_lines.front();
+}
+
+TEST_F(JitRobustnessTest, RefusedPreludeFallsBackToParsingTheHeaders) {
+  // Another -march than the prelude's makes GCC refuse it; the compile
+  // parses the headers instead and never fails over it.
+  std::string log = *script_dir_ + "/refused.log";
+  ScopedEnv cxx("SWOLE_CXX",
+                WriteScript("trace_refused.sh",
+                            IncludeTracingCompiler(log, "-march=x86-64")));
+  JitOptions jit;
+  jit.use_cache = false;
+  jit.degrade_flags.clear();
+  QueryPlan plan = MicroQ1(false, 47);
+  Result<std::unique_ptr<CompiledKernel>> compiled =
+      codegen::GenerateAndCompile(plan, data_->catalog, SwoleOptions(), jit);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  Result<QueryResult> result = (*compiled)->Run(data_->catalog);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result, Oracle(plan));
+
+  std::vector<std::string> refused = LogLinesEndingIn(log, kPreludeGch);
+  ASSERT_EQ(refused.size(), 1u);
+  EXPECT_EQ(refused[0].rfind("x ", 0), 0u) << refused[0];
+  EXPECT_EQ(LogLinesEndingIn(log, kPreludeHeader).size(), 1u);
 }
 
 // ---- fault injection at every stage -> interpreter fallback ----

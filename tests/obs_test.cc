@@ -509,7 +509,7 @@ TEST(PerfCountersTest, UnavailableCountersReportNotCrash) {
   } else {
     set->Start();
     volatile int64_t sink = 0;
-    for (int i = 0; i < 1'000'000; ++i) sink += i;
+    for (int i = 0; i < 1'000'000; ++i) sink = sink + i;
     (void)sink;
     set->Stop();
     obs::HwCounts counts = set->Read();
