@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -105,31 +106,43 @@ void RegisterKernelRow(const std::string& prim, Backend backend, int sel,
 }
 
 // Width-sweep rows: `kernels/<prim>/<backend>/w:<bits>` at a fixed 50%
-// mask, plus `kernels/<prim>_widened/...` twins that force the legacy
-// widen-to-int64 path (SWOLE_WIDEN) over the same narrow input. Both report
-// the NATIVE streamed volume, so widened GB/s divided into native GB/s is
-// exactly the speedup of executing at the column's physical width.
+// mask, plus `kernels/<prim>_widened/...` twins over the same narrow input
+// that widen each 1024-lane chunk into an int64 scratch tile and run the
+// int64 kernel on it — the widen-to-int64 execution that native width
+// replaced. Both report the NATIVE streamed volume, so widened GB/s divided
+// into native GB/s is exactly the speedup of executing at the column's
+// physical width.
 template <typename Fn>
 void RegisterWidthRow(const std::string& prim, Backend backend, int bits,
-                      bool widened, int64_t bytes, Fn fn) {
-  std::string name =
-      StringFormat("kernels/%s%s/%s/w:%d", prim.c_str(),
-                   widened ? "_widened" : "", simd::BackendName(backend),
-                   bits);
+                      int64_t bytes, Fn fn) {
+  std::string name = StringFormat("kernels/%s/%s/w:%d", prim.c_str(),
+                                  simd::BackendName(backend), bits);
   benchmark::RegisterBenchmark(
-      name.c_str(),
-      [backend, widened, bytes, fn](benchmark::State& state) {
+      name.c_str(), [backend, bytes, fn](benchmark::State& state) {
         Backend prev = simd::ActiveBackend();
-        bool prev_widen = kernels::WidenEnabled();
         simd::SetBackend(backend);
-        kernels::SetWidenMode(widened);
         for (auto _ : state) {
           benchmark::DoNotOptimize(fn());
         }
         state.SetBytesProcessed(state.iterations() * bytes);
-        kernels::SetWidenMode(prev_widen);
         simd::SetBackend(prev);
       });
+}
+
+constexpr int64_t kWidenChunk = 1024;
+int64_t widen_a[kWidenChunk];
+int64_t widen_b[kWidenChunk];
+
+// Widens `a` (and `b`, when given) one chunk at a time into widen_a/widen_b
+// and calls fn(chunk_start, chunk_len) on each chunk.
+template <typename T, typename Fn>
+void ForEachWidenedChunk(const T* a, const T* b, Fn fn) {
+  for (int64_t base = 0; base < kLen; base += kWidenChunk) {
+    const int64_t n = std::min(kWidenChunk, kLen - base);
+    kernels::Widen<T>(a + base, n, widen_a);
+    if (b != nullptr) kernels::Widen<T>(b + base, n, widen_b);
+    fn(base, n);
+  }
 }
 
 template <typename T>
@@ -138,33 +151,64 @@ void RegisterWidthRows(Backend b, const std::vector<T>& a,
                        std::vector<int64_t>* tmp) {
   const int bits = static_cast<int>(sizeof(T)) * 8;
   const int64_t w = static_cast<int64_t>(sizeof(T));
-  // The int64 rows have no narrower path to widen from; register the
-  // widened twin only for narrow widths.
-  const int n_modes = sizeof(T) == 8 ? 1 : 2;
-  for (int mode = 0; mode < n_modes; ++mode) {
-    const bool widened = mode == 1;
-    RegisterWidthRow("compare_lit", b, bits, widened, kLen * (w + 1),
+  RegisterWidthRow("compare_lit", b, bits, kLen * (w + 1), [&a, out]() {
+    kernels::CompareLit<T>(CmpOp::kLt, a.data(), 50, out->data(), kLen);
+    return (*out)[kLen - 1];
+  });
+  RegisterWidthRow("sum_masked", b, bits, kLen * (w + 1), [&a]() {
+    return kernels::SumMasked<T>(a.data(), data->Mask(50).data(), kLen);
+  });
+  RegisterWidthRow("sum_product_masked", b, bits, kLen * (2 * w + 1),
+                   [&a, &bcol]() {
+                     return kernels::SumProductMasked<T, T>(
+                         a.data(), bcol.data(), data->Mask(50).data(), kLen);
+                   });
+  RegisterWidthRow("mask_into_tmp", b, bits, kLen * (w + 1 + 8),
+                   [&a, tmp]() {
+                     kernels::MaskIntoTmp<T>(a.data(), data->Mask(50).data(),
+                                             kLen, tmp->data());
+                     return (*tmp)[kLen - 1];
+                   });
+  // The int64 rows have no narrower input to widen from.
+  if constexpr (sizeof(T) < 8) {
+    RegisterWidthRow("compare_lit_widened", b, bits, kLen * (w + 1),
                      [&a, out]() {
-                       kernels::CompareLit<T>(CmpOp::kLt, a.data(), 50,
-                                              out->data(), kLen);
+                       ForEachWidenedChunk<T>(
+                           a.data(), nullptr, [out](int64_t base, int64_t n) {
+                             kernels::CompareLit<int64_t>(
+                                 CmpOp::kLt, widen_a, 50, out->data() + base,
+                                 n);
+                           });
                        return (*out)[kLen - 1];
                      });
-    RegisterWidthRow("sum_masked", b, bits, widened, kLen * (w + 1),
-                     [&a]() {
-                       return kernels::SumMasked<T>(
-                           a.data(), data->Mask(50).data(), kLen);
-                     });
-    RegisterWidthRow("sum_product_masked", b, bits, widened,
-                     kLen * (2 * w + 1), [&a, &bcol]() {
-                       return kernels::SumProductMasked<T, T>(
-                           a.data(), bcol.data(), data->Mask(50).data(),
-                           kLen);
-                     });
-    RegisterWidthRow("mask_into_tmp", b, bits, widened, kLen * (w + 1 + 8),
+    RegisterWidthRow("sum_masked_widened", b, bits, kLen * (w + 1), [&a]() {
+      const uint8_t* mask = data->Mask(50).data();
+      int64_t sum = 0;
+      ForEachWidenedChunk<T>(a.data(), nullptr, [&](int64_t base, int64_t n) {
+        sum += kernels::SumMasked<int64_t>(widen_a, mask + base, n);
+      });
+      return sum;
+    });
+    RegisterWidthRow(
+        "sum_product_masked_widened", b, bits, kLen * (2 * w + 1),
+        [&a, &bcol]() {
+          const uint8_t* mask = data->Mask(50).data();
+          int64_t sum = 0;
+          ForEachWidenedChunk<T>(
+              a.data(), bcol.data(), [&](int64_t base, int64_t n) {
+                sum += kernels::SumProductMasked<int64_t, int64_t>(
+                    widen_a, widen_b, mask + base, n);
+              });
+          return sum;
+        });
+    RegisterWidthRow("mask_into_tmp_widened", b, bits, kLen * (w + 1 + 8),
                      [&a, tmp]() {
-                       kernels::MaskIntoTmp<T>(a.data(),
-                                               data->Mask(50).data(), kLen,
-                                               tmp->data());
+                       const uint8_t* mask = data->Mask(50).data();
+                       ForEachWidenedChunk<T>(
+                           a.data(), nullptr, [&](int64_t base, int64_t n) {
+                             kernels::MaskIntoTmp<int64_t>(
+                                 widen_a, mask + base, n, tmp->data() + base);
+                           });
                        return (*tmp)[kLen - 1];
                      });
   }

@@ -22,9 +22,9 @@ int main() {
   config.s_large_rows = 1000;
   auto data = MicroData::Generate(config);
 
-  // SWOLE_WARM_CORPUS=auto (or a descriptor path) pre-compiles the known
-  // kernel corpus before any query runs; later compiles of those keys are
-  // served from the warm cache (jit.corpus.* in the shutdown metrics).
+  // SWOLE_WARM_CORPUS=auto pre-compiles the registered kernel corpus
+  // before any query runs; later compiles of those keys are served from
+  // the warm cache (jit.corpus.* in the shutdown metrics).
   codegen::CorpusReport warm = codegen::WarmCorpusFromEnv(data->catalog);
   if (warm.entries > 0) {
     std::printf("warm corpus: %s\n\n", warm.ToString().c_str());

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
 #include <mutex>
 #include <set>
-#include <sstream>
 
 #include "common/env.h"
 #include "common/logging.h"
@@ -80,141 +78,6 @@ bool TablesPresent(const NamedQuery& query, const Catalog& catalog) {
   return true;
 }
 
-const NamedQuery* FindQuery(const std::string& name) {
-  for (const NamedQuery& query : Registry()) {
-    if (name == query.name) return &query;
-  }
-  return nullptr;
-}
-
-Result<StrategyKind> ParseStrategy(const std::string& name) {
-  for (int k = 0; k < 4; ++k) {
-    StrategyKind kind = static_cast<StrategyKind>(k);
-    if (name == StrategyKindName(kind)) return kind;
-  }
-  return Status::InvalidArgument(StringFormat(
-      "corpus: unknown strategy \"%s\" (expected data-centric|hybrid|rof|"
-      "swole)",
-      name.c_str()));
-}
-
-// ---- Descriptor parsing (JSON subset) ----
-//
-// A hand-rolled cursor parser for exactly the shape the header documents:
-// one object whose "entries" key holds an array of objects with string
-// values. Nothing else in the container image parses JSON, and pulling a
-// dependency in for fifteen lines of grammar is not worth it.
-
-struct Cursor {
-  const std::string& text;
-  size_t pos = 0;
-
-  void SkipWs() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-            text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-  bool AtEnd() {
-    SkipWs();
-    return pos >= text.size();
-  }
-  bool Peek(char c) {
-    SkipWs();
-    return pos < text.size() && text[pos] == c;
-  }
-  Status Expect(char c) {
-    SkipWs();
-    if (pos >= text.size() || text[pos] != c) {
-      return Status::InvalidArgument(StringFormat(
-          "corpus descriptor: expected '%c' at offset %zu", c, pos));
-    }
-    ++pos;
-    return Status::OK();
-  }
-  Result<std::string> ParseString() {
-    SWOLE_RETURN_NOT_OK(Expect('"'));
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\' && pos + 1 < text.size()) ++pos;
-      out.push_back(text[pos++]);
-    }
-    SWOLE_RETURN_NOT_OK(Expect('"'));
-    return out;
-  }
-};
-
-struct DescriptorEntry {
-  std::string query;
-  std::string strategy;
-};
-
-Result<std::vector<DescriptorEntry>> ParseDescriptor(
-    const std::string& text) {
-  Cursor cur{text};
-  SWOLE_RETURN_NOT_OK(cur.Expect('{'));
-  std::vector<DescriptorEntry> entries;
-  bool saw_entries = false;
-  while (!cur.Peek('}')) {
-    SWOLE_ASSIGN_OR_RETURN(std::string key, cur.ParseString());
-    SWOLE_RETURN_NOT_OK(cur.Expect(':'));
-    if (key != "entries") {
-      return Status::InvalidArgument(StringFormat(
-          "corpus descriptor: unknown top-level key \"%s\"", key.c_str()));
-    }
-    saw_entries = true;
-    SWOLE_RETURN_NOT_OK(cur.Expect('['));
-    while (!cur.Peek(']')) {
-      SWOLE_RETURN_NOT_OK(cur.Expect('{'));
-      DescriptorEntry entry;
-      while (!cur.Peek('}')) {
-        SWOLE_ASSIGN_OR_RETURN(std::string field, cur.ParseString());
-        SWOLE_RETURN_NOT_OK(cur.Expect(':'));
-        SWOLE_ASSIGN_OR_RETURN(std::string value, cur.ParseString());
-        if (field == "query") {
-          entry.query = std::move(value);
-        } else if (field == "strategy") {
-          entry.strategy = std::move(value);
-        } else {
-          return Status::InvalidArgument(StringFormat(
-              "corpus descriptor: unknown entry field \"%s\"",
-              field.c_str()));
-        }
-        if (cur.Peek(',')) cur.Expect(',').CheckOK();
-      }
-      SWOLE_RETURN_NOT_OK(cur.Expect('}'));
-      if (entry.query.empty()) {
-        return Status::InvalidArgument(
-            "corpus descriptor: entry without a \"query\" field");
-      }
-      entries.push_back(std::move(entry));
-      if (cur.Peek(',')) cur.Expect(',').CheckOK();
-    }
-    SWOLE_RETURN_NOT_OK(cur.Expect(']'));
-    if (cur.Peek(',')) cur.Expect(',').CheckOK();
-  }
-  SWOLE_RETURN_NOT_OK(cur.Expect('}'));
-  if (!cur.AtEnd()) {
-    return Status::InvalidArgument(
-        "corpus descriptor: trailing content after the top-level object");
-  }
-  if (!saw_entries) {
-    return Status::InvalidArgument(
-        "corpus descriptor: missing \"entries\" array");
-  }
-  return entries;
-}
-
-CorpusEntry MakeEntry(const NamedQuery& query, StrategyKind strategy,
-                      const Catalog& catalog) {
-  CorpusEntry entry;
-  entry.name = StringFormat("%s/%s", query.name, StrategyKindName(strategy));
-  entry.plan = query.build(catalog);
-  entry.gen.strategy = strategy;
-  return entry;
-}
-
 }  // namespace
 
 void RegisterCorpusKey(const std::string& cache_key) {
@@ -267,40 +130,11 @@ std::vector<CorpusEntry> AutoCorpus(const Catalog& catalog) {
   std::vector<CorpusEntry> entries;
   for (const NamedQuery& query : Registry()) {
     if (!TablesPresent(query, catalog)) continue;
-    entries.push_back(MakeEntry(query, StrategyKind::kSwole, catalog));
-  }
-  return entries;
-}
-
-Result<std::vector<CorpusEntry>> LoadCorpusFile(const std::string& path,
-                                                const Catalog& catalog) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IOError(StringFormat(
-        "cannot read corpus descriptor \"%s\"", path.c_str()));
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  SWOLE_ASSIGN_OR_RETURN(std::vector<DescriptorEntry> parsed,
-                         ParseDescriptor(buffer.str()));
-
-  std::vector<CorpusEntry> entries;
-  for (const DescriptorEntry& d : parsed) {
-    const NamedQuery* query = FindQuery(d.query);
-    if (query == nullptr) {
-      return Status::InvalidArgument(StringFormat(
-          "corpus descriptor: unknown query \"%s\"", d.query.c_str()));
-    }
-    StrategyKind strategy = StrategyKind::kSwole;
-    if (!d.strategy.empty()) {
-      SWOLE_ASSIGN_OR_RETURN(strategy, ParseStrategy(d.strategy));
-    }
-    if (!TablesPresent(*query, catalog)) {
-      SWOLE_LOG(WARNING) << "corpus: skipping \"" << d.query
-                         << "\" — its tables are not in this catalog";
-      continue;
-    }
-    entries.push_back(MakeEntry(*query, strategy, catalog));
+    CorpusEntry entry;  // default generator options: the swole strategy
+    entry.name = StringFormat("%s/%s", query.name,
+                              StrategyKindName(entry.gen.strategy));
+    entry.plan = query.build(catalog);
+    entries.push_back(std::move(entry));
   }
   return entries;
 }
@@ -393,22 +227,13 @@ CorpusReport WarmCorpusFromEnv(const Catalog& catalog,
                                const JitOptions& jit_options) {
   std::string value = GetEnvString("SWOLE_WARM_CORPUS", "");
   if (value.empty()) return CorpusReport();
-  std::vector<CorpusEntry> entries;
-  if (value == "auto") {
-    entries = AutoCorpus(catalog);
-  } else {
-    Result<std::vector<CorpusEntry>> loaded =
-        LoadCorpusFile(value, catalog);
-    if (!loaded.ok()) {
-      // Startup must not die over a bad descriptor; serve cold instead.
-      SWOLE_LOG(WARNING) << "SWOLE_WARM_CORPUS=\"" << value
-                         << "\" unusable, serving cold: "
-                         << loaded.status().ToString();
-      return CorpusReport();
-    }
-    entries = std::move(*loaded);
+  if (value != "auto") {
+    // Startup must not die over a bad setting; serve cold instead.
+    SWOLE_LOG(WARNING) << "SWOLE_WARM_CORPUS=\"" << value
+                       << "\" unusable (expected \"auto\"), serving cold";
+    return CorpusReport();
   }
-  return PrecompileCorpus(entries, catalog, jit_options);
+  return PrecompileCorpus(AutoCorpus(catalog), catalog, jit_options);
 }
 
 }  // namespace swole::codegen

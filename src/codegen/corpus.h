@@ -8,26 +8,16 @@
 #include "codegen/jit.h"
 #include "plan/plan.h"
 
-// Startup kernel-corpus precompilation. A serving process pays the ~1s JIT
+// Startup kernel-corpus precompilation. A serving process pays the JIT
 // compile exactly once per distinct (source, compiler, flags) key — but
 // "once" lands on the first unlucky client of every kernel. A workload
-// corpus moves those compiles to startup: a descriptor (or the automatic
-// registry of known benchmark queries) names (plan, strategy) pairs, and
-// PrecompileCorpus drives each through the content-addressed kernel cache
-// in parallel on the shared worker pool, so the first client of every
-// known query hits a warm cache.
+// corpus moves those compiles to startup: the registry of known benchmark
+// queries names the plans, and PrecompileCorpus drives each through the
+// content-addressed kernel cache in parallel on the shared worker pool, so
+// the first client of every known query hits a warm cache.
 //
 // Activation: SWOLE_WARM_CORPUS=auto precompiles every registered query
-// whose tables exist in the catalog; SWOLE_WARM_CORPUS=<path> loads a JSON
-// descriptor:
-//
-//   { "entries": [
-//       { "query": "tpch.q1", "strategy": "swole" },
-//       { "query": "micro.q4_small", "strategy": "data-centric" } ] }
-//
-// `query` is a registered corpus name (CorpusQueryNames); `strategy` is
-// optional and defaults to swole. Only the JSON subset shown is parsed —
-// string-valued fields inside an "entries" array of objects.
+// whose tables exist in the catalog.
 //
 // Effectiveness is observable: every precompiled cache key is registered,
 // and CompileKernel reports each later consult of a registered key as
@@ -57,20 +47,13 @@ struct CorpusReport {
   std::string ToString() const;
 };
 
-/// Names accepted by descriptors and used by AutoCorpus, with the catalog
-/// tables each requires ("tpch.q1", "micro.q4_small", ...).
+/// Names of the registered queries AutoCorpus draws from ("tpch.q1",
+/// "micro.q4_small", ...).
 std::vector<std::string> CorpusQueryNames();
 
 /// Every registered query whose required tables exist in `catalog`, under
 /// the default (swole) generator configuration.
 std::vector<CorpusEntry> AutoCorpus(const Catalog& catalog);
-
-/// Parses a workload descriptor file (see header comment) against
-/// `catalog`. Unknown query names and malformed structure are errors;
-/// entries whose tables are missing from the catalog are skipped with a
-/// warning (a descriptor is shared across differently-loaded processes).
-Result<std::vector<CorpusEntry>> LoadCorpusFile(const std::string& path,
-                                                const Catalog& catalog);
 
 /// Generates and compiles every entry in parallel on the shared worker
 /// pool (exec/scheduler.h), registering each cache key for warm-hit
@@ -80,9 +63,9 @@ CorpusReport PrecompileCorpus(const std::vector<CorpusEntry>& entries,
                               const Catalog& catalog,
                               const JitOptions& jit_options = {});
 
-/// SWOLE_WARM_CORPUS entry point: "" (unset) does nothing, "auto" runs
-/// AutoCorpus, anything else is a descriptor path. Descriptor errors are
-/// logged and reported as zero entries, not raised.
+/// SWOLE_WARM_CORPUS entry point: "" (unset) does nothing, "auto"
+/// precompiles AutoCorpus. Any other value is logged as a warning and
+/// reported as zero entries, not raised.
 CorpusReport WarmCorpusFromEnv(const Catalog& catalog,
                                const JitOptions& jit_options = {});
 

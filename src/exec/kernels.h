@@ -1,12 +1,7 @@
 #ifndef SWOLE_EXEC_KERNELS_H_
 #define SWOLE_EXEC_KERNELS_H_
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <type_traits>
-
 #include <string_view>
 
 #include "common/macros.h"
@@ -42,75 +37,12 @@ namespace internal {
 using simd::detail::Cmp;
 }  // namespace internal
 
-// ---- SWOLE_WIDEN escape hatch (legacy widening execution) ----
-//
-// When enabled, every simd-routed primitive below first inflates its narrow
-// operands into thread-local int64 scratch tiles and then runs the int64
-// kernels — the pre-native-width behavior, kept as a correctness oracle and
-// an A/B baseline for the benches. Per-element widening is exact and int64
-// arithmetic wraps mod 2^64 identically on both paths, so results stay
-// bit-identical to native-width execution. The flag lives here (not in a
-// .cc) because JIT-generated translation units include only this header and
-// link nothing but logging: each dlopened kernel image gets its own copy,
-// synced from the host through the KernelIO.widen field at build time.
-
-namespace widen_detail {
-
-inline constexpr int64_t kScratchLen = 1024;
-
-struct Scratch {
-  int64_t a[kScratchLen];
-  int64_t b[kScratchLen];
-};
-
-inline Scratch& TlsScratch() {
-  thread_local Scratch s;
-  return s;
-}
-
-inline bool InitFromEnv() {
-  const char* v = std::getenv("SWOLE_WIDEN");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
-inline std::atomic<bool>& Flag() {
-  static std::atomic<bool> flag{InitFromEnv()};
-  return flag;
-}
-
-}  // namespace widen_detail
-
-/// True when the legacy widening path is forced (SWOLE_WIDEN=1 or
-/// SetWidenMode(true)).
-inline bool WidenEnabled() {
-  return widen_detail::Flag().load(std::memory_order_relaxed);
-}
-
-/// Flips the widening escape hatch at runtime (tests, benches, and the
-/// JIT build entry syncing a kernel image with the host).
-inline void SetWidenMode(bool on) {
-  widen_detail::Flag().store(on, std::memory_order_relaxed);
-}
-
 /// Prepass comparison against a literal: out[j] = col[j] OP lit (0/1).
 /// Branch-free; this is the SIMD-friendly "prepass" loop of the hybrid
 /// strategy (Fig. 1 middle).
 template <typename T>
 void CompareLit(CmpOp op, const T* col, int64_t lit, uint8_t* out,
                 int64_t len) {
-  if constexpr (!std::is_same_v<T, int64_t>) {
-    if (SWOLE_UNLIKELY(WidenEnabled())) {
-      auto& s = widen_detail::TlsScratch();
-      for (int64_t base = 0; base < len; base += widen_detail::kScratchLen) {
-        const int64_t n = std::min(widen_detail::kScratchLen, len - base);
-        for (int64_t i = 0; i < n; ++i) {
-          s.a[i] = static_cast<int64_t>(col[base + i]);
-        }
-        simd::CompareLit<int64_t>(op, s.a, lit, out + base, n);
-      }
-      return;
-    }
-  }
   simd::CompareLit<T>(op, col, lit, out, len);
 }
 
@@ -118,20 +50,6 @@ void CompareLit(CmpOp op, const T* col, int64_t lit, uint8_t* out,
 template <typename T>
 void CompareCol(CmpOp op, const T* lhs, const T* rhs, uint8_t* out,
                 int64_t len) {
-  if constexpr (!std::is_same_v<T, int64_t>) {
-    if (SWOLE_UNLIKELY(WidenEnabled())) {
-      auto& s = widen_detail::TlsScratch();
-      for (int64_t base = 0; base < len; base += widen_detail::kScratchLen) {
-        const int64_t n = std::min(widen_detail::kScratchLen, len - base);
-        for (int64_t i = 0; i < n; ++i) {
-          s.a[i] = static_cast<int64_t>(lhs[base + i]);
-          s.b[i] = static_cast<int64_t>(rhs[base + i]);
-        }
-        simd::CompareCol<int64_t>(op, s.a, s.b, out + base, n);
-      }
-      return;
-    }
-  }
   simd::CompareCol<T>(op, lhs, rhs, out, len);
 }
 
@@ -305,20 +223,6 @@ int64_t SumQuotientSel(const TA* SWOLE_RESTRICT a, const TB* SWOLE_RESTRICT b,
 /// `col`; wasted work on masked lanes, no conditional reads.
 template <typename T>
 int64_t SumMasked(const T* col, const uint8_t* cmp, int64_t len) {
-  if constexpr (!std::is_same_v<T, int64_t>) {
-    if (SWOLE_UNLIKELY(WidenEnabled())) {
-      auto& s = widen_detail::TlsScratch();
-      int64_t sum = 0;
-      for (int64_t base = 0; base < len; base += widen_detail::kScratchLen) {
-        const int64_t n = std::min(widen_detail::kScratchLen, len - base);
-        for (int64_t i = 0; i < n; ++i) {
-          s.a[i] = static_cast<int64_t>(col[base + i]);
-        }
-        sum += simd::SumMasked<int64_t>(s.a, cmp + base, n);
-      }
-      return sum;
-    }
-  }
   return simd::SumMasked<T>(col, cmp, len);
 }
 
@@ -326,23 +230,6 @@ int64_t SumMasked(const T* col, const uint8_t* cmp, int64_t len) {
 template <typename TA, typename TB>
 int64_t SumProductMasked(const TA* a, const TB* b, const uint8_t* cmp,
                          int64_t len) {
-  if constexpr (!(std::is_same_v<TA, int64_t> &&
-                  std::is_same_v<TB, int64_t>)) {
-    if (SWOLE_UNLIKELY(WidenEnabled())) {
-      auto& s = widen_detail::TlsScratch();
-      int64_t sum = 0;
-      for (int64_t base = 0; base < len; base += widen_detail::kScratchLen) {
-        const int64_t n = std::min(widen_detail::kScratchLen, len - base);
-        for (int64_t i = 0; i < n; ++i) {
-          s.a[i] = static_cast<int64_t>(a[base + i]);
-          s.b[i] = static_cast<int64_t>(b[base + i]);
-        }
-        sum += simd::SumProductMasked<int64_t, int64_t>(s.a, s.b, cmp + base,
-                                                        n);
-      }
-      return sum;
-    }
-  }
   return simd::SumProductMasked<TA, TB>(a, b, cmp, len);
 }
 
@@ -389,19 +276,6 @@ inline int64_t CountBytes(const uint8_t* cmp, int64_t len) {
 template <typename T>
 void MaskIntoTmp(const T* col, const uint8_t* cmp, int64_t len,
                  int64_t* tmp) {
-  if constexpr (!std::is_same_v<T, int64_t>) {
-    if (SWOLE_UNLIKELY(WidenEnabled())) {
-      auto& s = widen_detail::TlsScratch();
-      for (int64_t base = 0; base < len; base += widen_detail::kScratchLen) {
-        const int64_t n = std::min(widen_detail::kScratchLen, len - base);
-        for (int64_t i = 0; i < n; ++i) {
-          s.a[i] = static_cast<int64_t>(col[base + i]);
-        }
-        simd::MaskIntoTmp<int64_t>(s.a, cmp + base, n, tmp + base);
-      }
-      return;
-    }
-  }
   simd::MaskIntoTmp<T>(col, cmp, len, tmp);
 }
 
@@ -410,19 +284,6 @@ void MaskIntoTmp(const T* col, const uint8_t* cmp, int64_t len,
 template <typename T>
 void CompareLitMaskIntoTmp(CmpOp op, const T* col, int64_t lit, int64_t len,
                            int64_t* tmp) {
-  if constexpr (!std::is_same_v<T, int64_t>) {
-    if (SWOLE_UNLIKELY(WidenEnabled())) {
-      auto& s = widen_detail::TlsScratch();
-      for (int64_t base = 0; base < len; base += widen_detail::kScratchLen) {
-        const int64_t n = std::min(widen_detail::kScratchLen, len - base);
-        for (int64_t i = 0; i < n; ++i) {
-          s.a[i] = static_cast<int64_t>(col[base + i]);
-        }
-        simd::CompareLitMaskIntoTmp<int64_t>(op, s.a, lit, n, tmp + base);
-      }
-      return;
-    }
-  }
   simd::CompareLitMaskIntoTmp<T>(op, col, lit, len, tmp);
 }
 
@@ -431,19 +292,6 @@ void CompareLitMaskIntoTmp(CmpOp op, const T* col, int64_t lit, int64_t len,
 template <typename T>
 void MaskKeys(const T* col, const uint8_t* cmp, int64_t null_key, int64_t len,
               int64_t* key) {
-  if constexpr (!std::is_same_v<T, int64_t>) {
-    if (SWOLE_UNLIKELY(WidenEnabled())) {
-      auto& s = widen_detail::TlsScratch();
-      for (int64_t base = 0; base < len; base += widen_detail::kScratchLen) {
-        const int64_t n = std::min(widen_detail::kScratchLen, len - base);
-        for (int64_t i = 0; i < n; ++i) {
-          s.a[i] = static_cast<int64_t>(col[base + i]);
-        }
-        simd::MaskKeys<int64_t>(s.a, cmp + base, null_key, n, key + base);
-      }
-      return;
-    }
-  }
   simd::MaskKeys<T>(col, cmp, null_key, len, key);
 }
 
@@ -456,8 +304,7 @@ SWOLE_ALWAYS_INLINE void PrefetchRead(const void* addr) {
 //
 // Same routing contract as the numeric primitives: strategy engines and
 // JIT translation units call these wrappers, the wrappers call the
-// runtime-dispatched simd:: entry points. Strings have no widened legacy
-// path, so SWOLE_WIDEN does not apply here.
+// runtime-dispatched simd:: entry points.
 
 using simd::CompiledLike;
 using simd::CompileLike;

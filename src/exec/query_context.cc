@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "exec/admission.h"
+#include "exec/spill.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
 #include "obs/trace.h"
@@ -72,12 +73,6 @@ obs::Counter& DegradationCounter() {
 bool TraceRequestedFromEnv() {
   static const bool requested = GetEnvInt64("SWOLE_TRACE", 0) != 0;
   return requested;
-}
-
-// Not cached: the spill tests toggle SWOLE_SPILL between queries.
-bool SpillRequestedFromEnv() {
-  std::string mode = GetEnvString("SWOLE_SPILL", "off");
-  return mode == "auto" || mode == "on" || mode == "1";
 }
 }  // namespace
 

@@ -82,10 +82,14 @@ SpillMetrics& Metrics() {
 
 }  // namespace
 
+bool SpillRequestedFromEnv() {
+  std::string mode = GetEnvString("SWOLE_SPILL", "off");
+  return mode == "auto" || mode == "on" || mode == "1";
+}
+
 SpillConfig SpillConfig::FromEnv() {
   SpillConfig config;
-  std::string mode = GetEnvString("SWOLE_SPILL", "off");
-  config.enabled = mode == "auto" || mode == "on" || mode == "1";
+  config.enabled = SpillRequestedFromEnv();
   config.dir = ScratchDir::ResolveBase("SWOLE_SPILL_DIR", "spill");
   int64_t partitions = GetEnvInt64("SWOLE_SPILL_PARTITIONS", 16);
   partitions = std::clamp<int64_t>(partitions, 2, 256);

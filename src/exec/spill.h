@@ -63,6 +63,10 @@ struct SpillConfig {
   static SpillConfig FromEnv();
 };
 
+/// SWOLE_SPILL: true for "auto" (also "on" or "1"), false otherwise. Not
+/// cached: the variable may change between queries.
+bool SpillRequestedFromEnv();
+
 /// Combines two partial payloads for the same key during partition
 /// rebuild. Engines pass element-wise addition; the reference oracle
 /// merges by aggregate kind (min/max/sum).

@@ -18,15 +18,12 @@ namespace swole::pipeline {
 
 namespace {
 
-// One count per filter tile, bucketed by execution mode. Host-side only:
-// kernels.h stays free of obs so JIT-compiled objects keep their minimal
-// link surface.
+// One count per filter tile. Host-side only: kernels.h stays free of obs
+// so JIT-compiled objects keep their minimal link surface.
 void CountScanTile() {
   static obs::Counter& native =
       obs::MetricsRegistry::Global().GetCounter("simd.tiles_native");
-  static obs::Counter& widened =
-      obs::MetricsRegistry::Global().GetCounter("simd.tiles_widened");
-  (kernels::WidenEnabled() ? widened : native).Add(1);
+  native.Add(1);
 }
 
 // True for `col OP lit` / `lit OP col` conjuncts; extracts the pieces.
@@ -1194,7 +1191,6 @@ QueryResult HistogramOfAgg0(const QueryResult& grouped) {
 }
 
 double AvgFactReadWidthBytes(const Table& fact, const QueryPlan& plan) {
-  if (kernels::WidenEnabled()) return 8.0;
   std::set<std::string> refs;
   for (const AggSpec& agg : plan.aggs) {
     if (agg.expr == nullptr) continue;

@@ -67,10 +67,10 @@ int32_t CompactSel(StrategyKind kind, int32_t* sel, const uint8_t* flags,
                    int32_t n);
 
 /// Average physical width (bytes) of the fact columns the plan's
-/// aggregation reads (aggregate inputs + group key). 8.0 when nothing is
-/// referenced or when kernels::WidenEnabled() forces the legacy widening
-/// path — scan-phase trace spans stamp this so traces show the width a
-/// query actually ran at.
+/// aggregation reads (aggregate inputs + group key); 8.0 when nothing is
+/// referenced. SWOLE's cost model prices sequential reads with it, and
+/// scan-phase trace spans stamp it so traces show the width a query
+/// actually ran at.
 double AvgFactReadWidthBytes(const Table& fact, const QueryPlan& plan);
 
 // ---- Build-side structures ----

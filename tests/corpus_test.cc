@@ -1,13 +1,12 @@
 // Startup kernel-corpus precompilation (codegen/corpus.h): the query
-// registry, descriptor parsing, catalog gating, cache warm-up through the
-// content-addressed kernel cache, and the warm-hit accounting that makes
-// the corpus's effectiveness observable (jit.corpus.*).
+// registry, catalog gating, cache warm-up through the content-addressed
+// kernel cache, and the warm-hit accounting that makes the corpus's
+// effectiveness observable (jit.corpus.*).
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <fstream>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,16 +64,8 @@ class CorpusTest : public ::testing::Test {
     config.c_cardinalities = {10, 200};
     config.seed = 7;
     data_ = MicroData::Generate(config).release();
-
-    std::string tmpl = "/tmp/swole_corpus_XXXXXX";
-    ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
-    descriptor_dir_ = new std::string(tmpl);
   }
   static void TearDownTestSuite() {
-    // Best-effort cleanup of the descriptor files.
-    ::system(("rm -rf " + *descriptor_dir_).c_str());
-    delete descriptor_dir_;
-    descriptor_dir_ = nullptr;
     delete data_;
     data_ = nullptr;
   }
@@ -84,14 +75,6 @@ class CorpusTest : public ::testing::Test {
     codegen::ResetCorpusKeysForTest();
   }
   void TearDown() override { codegen::ResetCorpusKeysForTest(); }
-
-  static std::string WriteDescriptor(const std::string& name,
-                                     const std::string& body) {
-    std::string path = *descriptor_dir_ + "/" + name;
-    std::ofstream out(path);
-    out << body;
-    return path;
-  }
 
   // Cheap compiles: corpus accounting is flag-agnostic, so the tests skip
   // the -O3 rung. The same options must flow to ExecuteWithFallback — the
@@ -115,11 +98,9 @@ class CorpusTest : public ::testing::Test {
   }
 
   static MicroData* data_;
-  static std::string* descriptor_dir_;
 };
 
 MicroData* CorpusTest::data_ = nullptr;
-std::string* CorpusTest::descriptor_dir_ = nullptr;
 
 TEST_F(CorpusTest, RegistryNamesAreStable) {
   std::vector<std::string> names = codegen::CorpusQueryNames();
@@ -141,59 +122,6 @@ TEST_F(CorpusTest, AutoCorpusGatesOnCatalogTables) {
   // And an empty catalog qualifies nothing.
   Catalog empty;
   EXPECT_TRUE(AutoCorpus(empty).empty());
-}
-
-TEST_F(CorpusTest, DescriptorParsesEntriesAndStrategies) {
-  std::string path = WriteDescriptor(
-      "good.json",
-      "{ \"entries\": [\n"
-      "  { \"query\": \"micro.q1\" },\n"
-      "  { \"query\": \"micro.q3\", \"strategy\": \"data-centric\" }\n"
-      "] }\n");
-  Result<std::vector<CorpusEntry>> entries =
-      codegen::LoadCorpusFile(path, data_->catalog);
-  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
-  ASSERT_EQ(entries->size(), 2u);
-  EXPECT_EQ((*entries)[0].gen.strategy, StrategyKind::kSwole);
-  EXPECT_EQ((*entries)[1].gen.strategy, StrategyKind::kDataCentric);
-}
-
-TEST_F(CorpusTest, DescriptorErrorsAreStructured) {
-  struct Case {
-    const char* name;
-    const char* body;
-  };
-  const Case kBad[] = {
-      {"unknown_query.json", "{\"entries\":[{\"query\":\"tpch.q99\"}]}"},
-      {"unknown_key.json",
-       "{\"entries\":[{\"query\":\"micro.q1\",\"threads\":\"4\"}]}"},
-      {"unknown_strategy.json",
-       "{\"entries\":[{\"query\":\"micro.q1\",\"strategy\":\"volcano\"}]}"},
-      {"no_entries.json", "{\"queries\":[]}"},
-      {"trailing.json", "{\"entries\":[{\"query\":\"micro.q1\"}]} extra"},
-      {"not_json.json", "corpus: [micro.q1]"},
-  };
-  for (const Case& c : kBad) {
-    SCOPED_TRACE(c.name);
-    std::string path = WriteDescriptor(c.name, c.body);
-    EXPECT_FALSE(codegen::LoadCorpusFile(path, data_->catalog).ok());
-  }
-  EXPECT_FALSE(
-      codegen::LoadCorpusFile("/nonexistent/corpus.json", data_->catalog)
-          .ok());
-}
-
-TEST_F(CorpusTest, DescriptorSkipsEntriesWithMissingTables) {
-  // tpch.q1 is a valid registered name; its tables just aren't loaded
-  // here. A shared descriptor must not fail the whole corpus over it.
-  std::string path = WriteDescriptor(
-      "partial.json",
-      "{\"entries\":[{\"query\":\"micro.q1\"},{\"query\":\"tpch.q1\"}]}");
-  Result<std::vector<CorpusEntry>> entries =
-      codegen::LoadCorpusFile(path, data_->catalog);
-  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
-  ASSERT_EQ(entries->size(), 1u);
-  EXPECT_EQ((*entries)[0].name.rfind("micro.q1", 0), 0u);
 }
 
 TEST_F(CorpusTest, PrecompileCompilesOnceThenServesFromCache) {
@@ -277,20 +205,16 @@ TEST_F(CorpusTest, WarmCorpusFromEnvPathways) {
     EXPECT_EQ(report.entries, 0);
   }
   {
-    // A broken descriptor path warns and serves cold — never fatal.
+    // Any value other than "auto" warns and serves cold — never fatal,
+    // and nothing reaches the precompiler.
+    obs::Counter& entries =
+        obs::MetricsRegistry::Global().GetCounter("jit.corpus.entries");
+    const int64_t entries_before = entries.value();
     ScopedEnv env("SWOLE_WARM_CORPUS", "/nonexistent/corpus.json");
     CorpusReport report = codegen::WarmCorpusFromEnv(data_->catalog);
     EXPECT_EQ(report.entries, 0);
-  }
-  {
-    std::string path = WriteDescriptor(
-        "env.json", "{\"entries\":[{\"query\":\"micro.q1\"}]}");
-    ScopedEnv env("SWOLE_WARM_CORPUS", path);
-    CorpusReport report =
-        codegen::WarmCorpusFromEnv(data_->catalog, FastJit());
-    EXPECT_EQ(report.entries, 1);
-    EXPECT_EQ(report.failures, 0);
-    EXPECT_EQ(report.compiled + report.cache_hits, 1);
+    EXPECT_EQ(report.compiled + report.cache_hits, 0);
+    EXPECT_EQ(entries.value(), entries_before);
   }
 }
 

@@ -527,20 +527,18 @@ TEST(SimdDispatch, UnsupportedRequestsClampDown) {
   EXPECT_STREQ(simd::BackendName(Backend::kAvx2), "avx2");
 }
 
-// ---- Native-width vs forced-widening differentials ----
+// ---- Native-width vs widened-reference differentials ----
 //
-// SWOLE_WIDEN=1 (kernels::SetWidenMode) routes every narrow-typed kernel
-// through the legacy widen-to-int64 path. Both modes must agree bit for
-// bit on every primitive, under every backend.
+// Every narrow-typed kernel must agree bit for bit, under every backend,
+// with the int64 kernel run over the same inputs widened by
+// kernels::Widen<T> — an independent int64 computation of each result.
 
-class WidenGuard {
- public:
-  WidenGuard() : saved_(kernels::WidenEnabled()) {}
-  ~WidenGuard() { kernels::SetWidenMode(saved_); }
-
- private:
-  bool saved_;
-};
+template <typename T>
+std::vector<int64_t> Widened(const std::vector<T>& v, int64_t len) {
+  std::vector<int64_t> out(static_cast<size_t>(len) + 1);
+  kernels::Widen<T>(v.data(), len, out.data());
+  return out;
+}
 
 template <typename T>
 void CheckWidenedKernels() {
@@ -561,18 +559,21 @@ void CheckWidenedKernels() {
     const int64_t lit =
         len > 0 ? static_cast<int64_t>(a[len / 2])
                 : static_cast<int64_t>(std::numeric_limits<T>::max());
+    const std::vector<int64_t> wa = Widened(a, len);
+    const std::vector<int64_t> wb = Widened(b, len);
+    const std::vector<int64_t> wsm_a = Widened(sm_a, len);
+    const std::vector<int64_t> wsm_b = Widened(sm_b, len);
     for (Backend back : SupportedBackends()) {
       simd::SetBackend(back);
       for (CmpOp op : kOps) {
         std::vector<uint8_t> cl_ref(static_cast<size_t>(len) + 1, 0xAB);
         std::vector<uint8_t> cc_ref(static_cast<size_t>(len) + 1, 0xAB);
         std::vector<int64_t> ct_ref(static_cast<size_t>(len) + 1, -7);
-        kernels::SetWidenMode(false);
-        kernels::CompareLit<T>(op, a.data(), lit, cl_ref.data(), len);
-        kernels::CompareCol<T>(op, a.data(), b.data(), cc_ref.data(), len);
-        kernels::CompareLitMaskIntoTmp<T>(op, a.data(), lit, len,
-                                          ct_ref.data());
-        kernels::SetWidenMode(true);
+        kernels::CompareLit<int64_t>(op, wa.data(), lit, cl_ref.data(), len);
+        kernels::CompareCol<int64_t>(op, wa.data(), wb.data(), cc_ref.data(),
+                                     len);
+        kernels::CompareLitMaskIntoTmp<int64_t>(op, wa.data(), lit, len,
+                                                ct_ref.data());
         std::vector<uint8_t> cl_got(static_cast<size_t>(len) + 1, 0xCD);
         std::vector<uint8_t> cc_got(static_cast<size_t>(len) + 1, 0xCD);
         std::vector<int64_t> ct_got(static_cast<size_t>(len) + 1, -9);
@@ -593,16 +594,16 @@ void CheckWidenedKernels() {
         }
       }
 
-      kernels::SetWidenMode(false);
-      int64_t sum_ref = kernels::SumMasked<T>(sm_a.data(), cmp.data(), len);
-      int64_t prod_ref = kernels::SumProductMasked<T, T>(
-          sm_a.data(), sm_b.data(), cmp.data(), len);
+      int64_t sum_ref =
+          kernels::SumMasked<int64_t>(wsm_a.data(), cmp.data(), len);
+      int64_t prod_ref = kernels::SumProductMasked<int64_t, int64_t>(
+          wsm_a.data(), wsm_b.data(), cmp.data(), len);
       std::vector<int64_t> mt_ref(static_cast<size_t>(len) + 1, -7);
       std::vector<int64_t> mk_ref(static_cast<size_t>(len) + 1, -7);
-      kernels::MaskIntoTmp<T>(sm_a.data(), cmp.data(), len, mt_ref.data());
-      kernels::MaskKeys<T>(a.data(), cmp.data(), null_key, len,
-                           mk_ref.data());
-      kernels::SetWidenMode(true);
+      kernels::MaskIntoTmp<int64_t>(wsm_a.data(), cmp.data(), len,
+                                    mt_ref.data());
+      kernels::MaskKeys<int64_t>(wa.data(), cmp.data(), null_key, len,
+                                 mk_ref.data());
       EXPECT_EQ(kernels::SumMasked<T>(sm_a.data(), cmp.data(), len), sum_ref)
           << simd::BackendName(back) << " len " << len;
       EXPECT_EQ((kernels::SumProductMasked<T, T>(sm_a.data(), sm_b.data(),
@@ -622,24 +623,20 @@ void CheckWidenedKernels() {
             << simd::BackendName(back) << " MaskKeys len " << len << " lane "
             << j;
       }
-      kernels::SetWidenMode(false);
     }
   }
 }
 
 TEST(WidenedKernels, Int8) {
   BackendGuard b;
-  WidenGuard w;
   CheckWidenedKernels<int8_t>();
 }
 TEST(WidenedKernels, Int16) {
   BackendGuard b;
-  WidenGuard w;
   CheckWidenedKernels<int16_t>();
 }
 TEST(WidenedKernels, Int32) {
   BackendGuard b;
-  WidenGuard w;
   CheckWidenedKernels<int32_t>();
 }
 
@@ -710,27 +707,6 @@ TEST_F(SimdQueryTest, GroupByAggregation) {
 TEST_F(SimdQueryTest, FkJoin) { CheckAcrossBackends(MicroQ4(true, 60, 40)); }
 
 TEST_F(SimdQueryTest, Groupjoin) {
-  CheckAcrossBackends(MicroQ5(false, 50, 100));
-}
-
-// The SWOLE_WIDEN=1 escape hatch must reproduce the oracle bit for bit on
-// the same strategy × backend × thread-count grid as the native-width runs
-// above — together the two suites prove native and widened execution agree.
-TEST_F(SimdQueryTest, WidenedScalarAggregation) {
-  WidenGuard w;
-  kernels::SetWidenMode(true);
-  CheckAcrossBackends(MicroQ1(false, 37));
-}
-
-TEST_F(SimdQueryTest, WidenedGroupByAggregation) {
-  WidenGuard w;
-  kernels::SetWidenMode(true);
-  CheckAcrossBackends(MicroQ2(data_->c_columns[1], data_->c_actual[1], 45));
-}
-
-TEST_F(SimdQueryTest, WidenedGroupjoin) {
-  WidenGuard w;
-  kernels::SetWidenMode(true);
   CheckAcrossBackends(MicroQ5(false, 50, 100));
 }
 
