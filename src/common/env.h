@@ -6,7 +6,7 @@
 
 // Environment-variable configuration used by the benchmark harnesses so the
 // paper's experiments can be re-run at different scales without recompiling
-// (e.g. SWOLE_SF=1 ./bench/tpch_bench).
+// (e.g. SWOLE_SF=1 ./bench/scaling_bench).
 
 namespace swole {
 

@@ -1,7 +1,5 @@
 #include "common/random.h"
 
-#include <cmath>
-
 namespace swole {
 
 uint64_t SplitMix64(uint64_t x) {
@@ -15,37 +13,6 @@ void Rng::Reseed(uint64_t seed) {
   s0_ = SplitMix64(seed);
   s1_ = SplitMix64(s0_);
   if (s0_ == 0 && s1_ == 0) s1_ = 1;  // all-zero state is a fixed point
-}
-
-namespace {
-double Zeta(uint64_t n, double theta) {
-  double sum = 0.0;
-  for (uint64_t i = 1; i <= n; ++i) sum += 1.0 / std::pow(static_cast<double>(i), theta);
-  return sum;
-}
-}  // namespace
-
-ZipfGenerator::ZipfGenerator(uint64_t n, double theta, uint64_t seed)
-    : n_(n), theta_(theta), rng_(seed) {
-  SWOLE_CHECK_GT(n, 0u);
-  SWOLE_CHECK_GE(theta, 0.0);
-  SWOLE_CHECK_LT(theta, 1.0);  // the closed form below requires theta < 1
-  zetan_ = Zeta(n_, theta_);
-  alpha_ = 1.0 / (1.0 - theta_);
-  eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
-         (1.0 - Zeta(2, theta_) / zetan_);
-}
-
-uint64_t ZipfGenerator::Next() {
-  if (theta_ == 0.0) return rng_.NextBounded(n_);
-  // Gray et al.'s quantile approximation, the standard YCSB formulation.
-  double u = rng_.UniformDouble();
-  double uz = u * zetan_;
-  if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
-  return static_cast<uint64_t>(
-      static_cast<double>(n_) *
-      std::pow(eta_ * u - eta_ + 1.0, alpha_));
 }
 
 }  // namespace swole

@@ -73,26 +73,6 @@ void Shuffle(std::vector<T>* values, Rng* rng) {
   }
 }
 
-/// Zipf-distributed sampler over {0, ..., n-1} with exponent `theta`.
-/// theta == 0 degenerates to uniform. Used by skew experiments.
-class ZipfGenerator {
- public:
-  ZipfGenerator(uint64_t n, double theta, uint64_t seed = 42);
-
-  uint64_t Next();
-
-  uint64_t n() const { return n_; }
-  double theta() const { return theta_; }
-
- private:
-  uint64_t n_;
-  double theta_;
-  double alpha_;
-  double zetan_;
-  double eta_;
-  Rng rng_;
-};
-
 }  // namespace swole
 
 #endif  // SWOLE_COMMON_RANDOM_H_

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cstdint>
 
-// Wall-clock timing for benchmarks and the cost-model calibration probes.
+// Wall-clock timing for benchmarks, JIT compiles and query latencies.
 
 namespace swole {
 
@@ -28,13 +28,6 @@ class Timer {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
-
-/// Prevents the compiler from optimizing away a computed value whose only
-/// purpose is its side effect on timing (google-benchmark's DoNotOptimize).
-template <typename T>
-inline void DoNotOptimize(T const& value) {
-  asm volatile("" : : "r,m"(value) : "memory");
-}
 
 }  // namespace swole
 

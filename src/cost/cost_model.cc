@@ -20,7 +20,7 @@ namespace {
 
 // Sequential reads are bandwidth-bound: kernels now execute at the
 // column's physical width, so the per-tuple cost of a streaming read
-// scales with bytes moved (8 bytes = the calibrated read_seq). The
+// scales with bytes moved (8 bytes = the profile's read_seq). The
 // conditional read_cond terms deliberately do NOT scale — a random touch
 // pays its cache line regardless of element width.
 double SeqRead(const CostProfile& p, double avg_read_width) {

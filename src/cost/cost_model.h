@@ -26,7 +26,7 @@ namespace swole {
 
 struct Expr;
 
-/// Calibrated (or default) per-operation costs. All times ns/tuple.
+/// Per-operation costs. All times ns/tuple.
 struct CostProfile {
   double read_seq = 0.5;     // sequential column access
   double read_cond = 3.0;    // conditional access (branch + sparse touch)
@@ -55,15 +55,15 @@ struct CostProfile {
     return ht_lookup_mem;
   }
 
-  /// Deterministic defaults (plausible for a ~2GHz server core). Tests use
-  /// this; benchmarks may calibrate (cost/calibration.h).
+  /// Deterministic defaults (plausible for a ~2GHz server core). Every
+  /// engine uses these unless its caller supplies a profile.
   static CostProfile Default() { return CostProfile(); }
 
   std::string ToString() const;
 };
 
-// ---- Formula evaluators (exposed for tests and the model-vs-measured
-// benchmark). All return total ns for the stated workload. ----
+// ---- Formula evaluators (exposed for tests). All return total ns for the
+// stated workload. ----
 
 struct AggWorkload {
   double rows = 0;          // |R|

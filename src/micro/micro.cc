@@ -19,7 +19,6 @@ MicroConfig MicroConfig::FromEnv() {
       GetEnvInt64("SWOLE_MICRO_S_LARGE", config.s_large_rows);
   config.seed = static_cast<uint64_t>(
       GetEnvInt64("SWOLE_MICRO_SEED", static_cast<int64_t>(config.seed)));
-  config.zipf_theta = GetEnvDouble("SWOLE_MICRO_ZIPF", config.zipf_theta);
   config.str_len = GetEnvInt64("SWOLE_MICRO_STRLEN", config.str_len);
   return config;
 }
@@ -33,29 +32,6 @@ std::unique_ptr<Column> UniformColumn(const std::string& name,
       name, ColumnType::Int(NarrowestPhysicalType(lo, hi)));
   col->Reserve(rows);
   for (int64_t i = 0; i < rows; ++i) col->Append(rng->UniformInt(lo, hi));
-  return col;
-}
-
-// Key column drawn uniformly (theta == 0) or Zipf-skewed over [0, card).
-// Zipf ranks are shuffled so hot keys are not clustered at small ids.
-std::unique_ptr<Column> KeyColumn(const std::string& name, int64_t rows,
-                                  int64_t card, double theta, Rng* rng) {
-  auto col = std::make_unique<Column>(
-      name, ColumnType::Int(NarrowestPhysicalType(0, card - 1)));
-  col->Reserve(rows);
-  if (theta <= 0.0) {
-    for (int64_t i = 0; i < rows; ++i) {
-      col->Append(rng->UniformInt(0, card - 1));
-    }
-    return col;
-  }
-  ZipfGenerator zipf(card, theta, rng->Next());
-  std::vector<int64_t> rank_to_key(card);
-  for (int64_t k = 0; k < card; ++k) rank_to_key[k] = k;
-  Shuffle(&rank_to_key, rng);
-  for (int64_t i = 0; i < rows; ++i) {
-    col->Append(rank_to_key[zipf.Next() % card]);
-  }
   return col;
 }
 
@@ -126,17 +102,16 @@ std::unique_ptr<MicroData> MicroData::Generate(const MicroConfig& config) {
     int64_t actual = std::min(requested, std::max<int64_t>(1, rows / 4));
     std::string name =
         StringFormat("r_c_%lld", static_cast<long long>(requested));
-    r->AddColumn(KeyColumn(name, rows, actual, config.zipf_theta, &rng))
-        .CheckOK();
+    r->AddColumn(UniformColumn(name, rows, 0, actual - 1, &rng)).CheckOK();
     data->c_columns.push_back(name);
     data->c_actual.push_back(actual);
   }
 
-  r->AddColumn(KeyColumn("r_fk_small", rows, config.s_small_rows,
-                         config.zipf_theta, &rng))
+  r->AddColumn(UniformColumn("r_fk_small", rows, 0, config.s_small_rows - 1,
+                             &rng))
       .CheckOK();
-  r->AddColumn(KeyColumn("r_fk_large", rows, config.s_large_rows,
-                         config.zipf_theta, &rng))
+  r->AddColumn(UniformColumn("r_fk_large", rows, 0, config.s_large_rows - 1,
+                             &rng))
       .CheckOK();
 
   // Referential-integrity indexes (the substrate of §III-D).

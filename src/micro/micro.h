@@ -33,19 +33,12 @@ struct MicroConfig {
   std::vector<int64_t> c_cardinalities = {10, 1'000, 100'000, 10'000'000};
   uint64_t seed = 42;
 
-  // Skew for the fk and group-key columns. 0 = uniform (the paper's
-  // setting — "the worst case for operations that use a hash table");
-  // 0 < theta < 1 draws keys Zipf-distributed, making hot keys cache-
-  // resident (the skew ablation benchmark).
-  double zipf_theta = 0.0;
-
   // Average byte length of r_s, the raw variable-length string column
   // (actual lengths are uniform in [len/2, 3*len/2]).
   int64_t str_len = 48;
 
   /// Reads SWOLE_MICRO_R / SWOLE_MICRO_S_SMALL / SWOLE_MICRO_S_LARGE /
-  /// SWOLE_MICRO_SEED / SWOLE_MICRO_ZIPF / SWOLE_MICRO_STRLEN over the
-  /// defaults.
+  /// SWOLE_MICRO_SEED / SWOLE_MICRO_STRLEN over the defaults.
   static MicroConfig FromEnv();
 };
 

@@ -9,8 +9,8 @@
 // instructions, LLC misses, and branch misses for the calling thread and —
 // through inherit=1 — every worker it spawns while the set is running.
 // This is the micro-architectural evidence the paper's claim rests on:
-// SWOLE trades extra instructions for fewer LLC misses, and
-// bench/access_pattern_bench.cc uses this wrapper to show it per strategy.
+// SWOLE trades extra instructions for fewer LLC misses. SWOLE_PERF_COUNTERS=1
+// attaches the counts to each governed query's trace as hw.* attributes.
 //
 // Unavailability is the common case (containers and CI set
 // perf_event_paranoid high, seccomp may return ENOSYS, non-Linux builds

@@ -1,6 +1,5 @@
 #include "storage/bitmap.h"
 
-#include <algorithm>
 
 namespace swole {
 
@@ -36,45 +35,6 @@ void PositionalBitmap::And(const PositionalBitmap& other) {
 void PositionalBitmap::Or(const PositionalBitmap& other) {
   SWOLE_CHECK_EQ(num_bits_, other.num_bits_);
   for (size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];
-}
-
-CompressedBitmap CompressedBitmap::Compress(const PositionalBitmap& bitmap) {
-  CompressedBitmap out;
-  out.num_bits_ = bitmap.num_bits();
-  int64_t num_blocks = (bitmap.num_bits() + kBlockBits - 1) / kBlockBits;
-  out.block_slots_.resize(num_blocks);
-  const uint64_t* words = bitmap.words();
-  int64_t total_words = bit_util::WordsForBits(bitmap.num_bits());
-
-  for (int64_t block = 0; block < num_blocks; ++block) {
-    int64_t first_word = block * kBlockWords;
-    int64_t last_word = std::min(first_word + kBlockWords, total_words);
-    bool all_zero = true;
-    bool all_one = true;
-    for (int64_t w = first_word; w < last_word; ++w) {
-      if (words[w] != 0) all_zero = false;
-      if (words[w] != ~uint64_t{0}) all_one = false;
-    }
-    // A partial final block never qualifies as all-one: its padding bits in
-    // the plain bitmap are zero, so all_one is already false there.
-    if (all_zero) {
-      out.block_slots_[block] = kAllZero;
-    } else if (all_one && last_word - first_word == kBlockWords) {
-      out.block_slots_[block] = kAllOne;
-    } else {
-      out.block_slots_[block] =
-          static_cast<int32_t>(out.payload_.size() / kBlockWords);
-      for (int64_t w = first_word; w < first_word + kBlockWords; ++w) {
-        out.payload_.push_back(w < total_words ? words[w] : 0);
-      }
-    }
-  }
-  return out;
-}
-
-int64_t CompressedBitmap::ByteSize() const {
-  return static_cast<int64_t>(block_slots_.size()) * sizeof(int32_t) +
-         static_cast<int64_t>(payload_.size()) * sizeof(uint64_t);
 }
 
 }  // namespace swole

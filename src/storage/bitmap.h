@@ -168,45 +168,6 @@ class PositionalBitmap {
   int64_t tracked_bytes_ = 0;
 };
 
-/// Block-compressed bitmap (the paper's §III-D note: "replace entire blocks
-/// of repeated values"). Blocks of 512 bits that are all-zero or all-one are
-/// elided; mixed blocks store their words verbatim. Probe cost is one extra
-/// indirection — the size/overhead trade-off §III-D describes.
-class CompressedBitmap {
- public:
-  static constexpr int64_t kBlockBits = 512;
-  static constexpr int64_t kBlockWords = kBlockBits / 64;
-
-  /// Compresses a plain bitmap.
-  static CompressedBitmap Compress(const PositionalBitmap& bitmap);
-
-  bool Test(int64_t i) const {
-    SWOLE_DCHECK_LT(i, num_bits_);
-    int64_t block = i / kBlockBits;
-    int32_t slot = block_slots_[block];
-    if (slot == kAllZero) return false;
-    if (slot == kAllOne) return true;
-    int64_t bit_in_block = i % kBlockBits;
-    return (payload_[slot * kBlockWords + (bit_in_block >> 6)] >>
-            (bit_in_block & 63)) &
-           1;
-  }
-
-  int64_t num_bits() const { return num_bits_; }
-  int64_t ByteSize() const;
-  int64_t num_mixed_blocks() const {
-    return static_cast<int64_t>(payload_.size()) / kBlockWords;
-  }
-
- private:
-  static constexpr int32_t kAllZero = -1;
-  static constexpr int32_t kAllOne = -2;
-
-  int64_t num_bits_ = 0;
-  std::vector<int32_t> block_slots_;  // per block: kAllZero/kAllOne/payload ix
-  std::vector<uint64_t> payload_;     // words of mixed blocks
-};
-
 }  // namespace swole
 
 #endif  // SWOLE_STORAGE_BITMAP_H_

@@ -51,12 +51,9 @@ struct StrategyOptions {
   // deterministic profile).
   const CostProfile* cost_profile = nullptr;
 
-  // Ablation switches (SWOLE only): force-disable individual techniques so
-  // benchmarks can measure each one's contribution.
-  bool enable_value_masking = true;
-  bool enable_key_masking = true;
+  // Technique switches (SWOLE only): force-disable access merging or eager
+  // aggregation so the forced-technique series can measure each one.
   bool enable_access_merging = true;
-  bool enable_positional_bitmaps = true;
   bool enable_eager_aggregation = true;
 
   // Overrides the cost model (for microbenchmarks that pin a technique):
@@ -67,12 +64,6 @@ struct StrategyOptions {
   // Forces the eager-aggregation rewrite whenever the plan shape is
   // eligible, regardless of the cost model (Fig. 12's EA series).
   bool force_eager_aggregation = false;
-
-  // Probes dimension qualification through block-compressed bitmaps
-  // instead of plain ones (§III-D: "we can always compress the bitmap ...
-  // but the benefits in size reduction would need to be weighed against
-  // the increased access overhead"). Exposed for the bitmap benchmark.
-  bool use_compressed_bitmaps = false;
 
   // ---- Query-lifecycle governance (exec/query_context.h) ----
 

@@ -334,28 +334,16 @@ const SwoleStrategy::CachedAnalysis& SwoleStrategy::Analyze(
     case StrategyOptions::ForceAgg::kHybridFallback:
       analysis.agg_choice = AggChoice::kHybridFallback;
       break;
-    case StrategyOptions::ForceAgg::kAuto: {
+    case StrategyOptions::ForceAgg::kAuto:
       analysis.agg_choice = ChooseAggregation(profile_, w);
-      if (analysis.agg_choice == AggChoice::kValueMasking &&
-          !options_.enable_value_masking) {
-        analysis.agg_choice = AggChoice::kHybridFallback;
-      }
-      if (analysis.agg_choice == AggChoice::kKeyMasking &&
-          !options_.enable_key_masking) {
-        analysis.agg_choice = options_.enable_value_masking
-                                  ? AggChoice::kValueMasking
-                                  : AggChoice::kHybridFallback;
-      }
       break;
-    }
   }
   decisions_.aggregation = AggChoiceName(analysis.agg_choice);
   analysis.agg_cost_detail = DescribeAggDecision(profile_, w);
   decisions_.used_eager_aggregation = analysis.use_ea;
-  decisions_.used_positional_bitmaps =
-      options_.enable_positional_bitmaps &&
-      (!plan.dims.empty() || !plan.reverse_dims.empty() ||
-       plan.disjunctive.has_value());
+  decisions_.used_positional_bitmaps = !plan.dims.empty() ||
+                                       !plan.reverse_dims.empty() ||
+                                       plan.disjunctive.has_value();
   decisions_.rationale += StringFormat(
       "sigma=%.3f comp=%.1fns groups=%lld ht=%lldB", analysis.sigma_total,
       analysis.comp_ns, static_cast<long long>(analysis.expected_groups),
@@ -462,7 +450,6 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
   const int64_t tile = options_.tile_size;
   const int num_threads = exec::ResolveNumThreads(options_.num_threads);
   const Table& fact = catalog_.TableRef(plan.fact_table);
-  const bool use_bitmaps = options_.enable_positional_bitmaps;
 
   // Phase spans are recorded by this (driving) thread only, so the tree
   // shape is thread-count invariant; worker rollups become attributes.
@@ -472,24 +459,10 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
 
   // ---- Build phase ----
   std::vector<PositionalBitmap> dim_bitmaps;
-  std::vector<CompressedBitmap> dim_compressed;
-  std::vector<std::unique_ptr<HashTable>> dim_sets;
   std::vector<const uint32_t*> dim_offsets;  // fact's fk offsets per dim
-  const bool compressed = options_.use_compressed_bitmaps;
   for (const DimJoin& dim : plan.dims) {
-    if (use_bitmaps) {
-      dim_bitmaps.push_back(
-          pipeline::BuildDimBitmap(catalog_, dim, tile, num_threads, qctx));
-      if (compressed) {
-        dim_compressed.push_back(
-            CompressedBitmap::Compress(dim_bitmaps.back()));
-      }
-      dim_sets.push_back(nullptr);
-    } else {
-      dim_bitmaps.emplace_back();
-      dim_sets.push_back(pipeline::BuildDimKeySet(
-          StrategyKind::kSwole, catalog_, dim, tile, num_threads, qctx));
-    }
+    dim_bitmaps.push_back(
+        pipeline::BuildDimBitmap(catalog_, dim, tile, num_threads, qctx));
     const FkIndex* index =
         fact.GetFkIndex(dim.hop.fk_column).ValueOr(nullptr);
     SWOLE_CHECK(index != nullptr);
@@ -644,27 +617,10 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
       pipeline::FilterToMask(&eval, mask_filter, start, len, cmp);
 
       for (size_t d = 0; d < plan.dims.size(); ++d) {
-        if (use_bitmaps && compressed) {
-          const uint32_t* offs = dim_offsets[d] + start;
-          const CompressedBitmap& bm = dim_compressed[d];
-          for (int64_t j = 0; j < len; ++j) {
-            cmp[j] &= static_cast<uint8_t>(bm.Test(offs[j]));
-          }
-        } else if (use_bitmaps) {
-          const uint32_t* offs = dim_offsets[d] + start;
-          const PositionalBitmap& bm = dim_bitmaps[d];
-          for (int64_t j = 0; j < len; ++j) {
-            cmp[j] &= static_cast<uint8_t>(bm.Test(offs[j]));
-          }
-        } else {
-          const Column& fk = fact.ColumnRef(plan.dims[d].hop.fk_column);
-          DispatchPhysical(fk.type().physical, [&]<typename T>() {
-            kernels::Widen<T>(fk.Data<T>() + start, len, scratch.keys.data());
-          });
-          dim_sets[d]->ContainsBatch(scratch.keys.data(),
-                                     static_cast<int32_t>(len),
-                                     scratch.cmp2.data(), /*prefetch=*/false);
-          kernels::AndBytes(cmp, scratch.cmp2.data(), len);
+        const uint32_t* offs = dim_offsets[d] + start;
+        const PositionalBitmap& bm = dim_bitmaps[d];
+        for (int64_t j = 0; j < len; ++j) {
+          cmp[j] &= static_cast<uint8_t>(bm.Test(offs[j]));
         }
       }
 
@@ -807,28 +763,10 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
         analysis.str_split.scan_filter.get(), start, len, &scratch,
         scratch.sel.data());
     for (size_t d = 0; d < plan.dims.size() && n > 0; ++d) {
-      if (use_bitmaps && compressed) {
-        const uint32_t* offs = dim_offsets[d] + start;
-        const CompressedBitmap& bm = dim_compressed[d];
-        for (int32_t k = 0; k < n; ++k) {
-          scratch.cmp2[k] =
-              static_cast<uint8_t>(bm.Test(offs[scratch.sel[k]]));
-        }
-      } else if (use_bitmaps) {
-        const uint32_t* offs = dim_offsets[d] + start;
-        const PositionalBitmap& bm = dim_bitmaps[d];
-        for (int32_t k = 0; k < n; ++k) {
-          scratch.cmp2[k] =
-              static_cast<uint8_t>(bm.Test(offs[scratch.sel[k]]));
-        }
-      } else {
-        const Column& fk = fact.ColumnRef(plan.dims[d].hop.fk_column);
-        DispatchPhysical(fk.type().physical, [&]<typename T>() {
-          kernels::Gather<T>(fk.Data<T>() + start, scratch.sel.data(), n,
-                             scratch.keys.data());
-        });
-        dim_sets[d]->ContainsBatch(scratch.keys.data(), n,
-                                   scratch.cmp2.data(), /*prefetch=*/false);
+      const uint32_t* offs = dim_offsets[d] + start;
+      const PositionalBitmap& bm = dim_bitmaps[d];
+      for (int32_t k = 0; k < n; ++k) {
+        scratch.cmp2[k] = static_cast<uint8_t>(bm.Test(offs[scratch.sel[k]]));
       }
       n = pipeline::CompactSel(StrategyKind::kSwole, scratch.sel.data(),
                                scratch.cmp2.data(), n);

@@ -116,22 +116,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(a, b);
 }
 
-TEST(ZipfTest, UniformWhenThetaZero) {
-  ZipfGenerator zipf(100, 0.0, 1);
-  for (int i = 0; i < 1000; ++i) EXPECT_LT(zipf.Next(), 100u);
-}
-
-TEST(ZipfTest, SkewFavorsSmallValues) {
-  ZipfGenerator zipf(1000, 0.9, 1);
-  int small = 0;
-  for (int i = 0; i < 10000; ++i) {
-    if (zipf.Next() < 10) small++;
-  }
-  // With theta=0.9 the 10 hottest of 1000 keys draw far more than the
-  // uniform 1% of samples.
-  EXPECT_GT(small, 1000);
-}
-
 TEST(BitUtilTest, NextPowerOfTwo) {
   EXPECT_EQ(bit_util::NextPowerOfTwo(0), 1u);
   EXPECT_EQ(bit_util::NextPowerOfTwo(1), 1u);

@@ -260,6 +260,19 @@ TEST(DictionaryDeathTest, AtRejectsOutOfRangeCodes) {
   EXPECT_DEATH(dict.At(2), "");
 }
 
+TEST(TextDataTest, AppendAndGet) {
+  TextData text;
+  EXPECT_EQ(text.size(), 0);
+  text.Append("hello");
+  text.Append("");
+  text.Append("worlds end");
+  EXPECT_EQ(text.size(), 3);
+  EXPECT_EQ(text.Get(0), "hello");
+  EXPECT_EQ(text.Get(1), "");
+  EXPECT_EQ(text.Get(2), "worlds end");
+  EXPECT_GE(text.ByteSize(), 15);
+}
+
 // Allocation-charge hook used by the StringColumn governance tests: tracks
 // the net charged bytes, enforces an optional budget, and routes through the
 // fault injector at the site name exactly like QueryContext::TryCharge does.
@@ -549,41 +562,6 @@ TEST(BitmapTest, AndOr) {
   EXPECT_TRUE(a_and.Test(100));
   a.Or(b);
   EXPECT_EQ(a.CountSetBits(), 3);
-}
-
-TEST(CompressedBitmapTest, RoundTripMixed) {
-  Rng rng(3);
-  PositionalBitmap bm(5000);
-  for (int64_t i = 0; i < 5000; ++i) {
-    if (rng.Bernoulli(0.5)) bm.Set(i);
-  }
-  CompressedBitmap cb = CompressedBitmap::Compress(bm);
-  EXPECT_EQ(cb.num_bits(), 5000);
-  for (int64_t i = 0; i < 5000; ++i) {
-    EXPECT_EQ(cb.Test(i), bm.Test(i)) << "bit " << i;
-  }
-}
-
-TEST(CompressedBitmapTest, ElidesUniformBlocks) {
-  // 512-bit blocks: [all ones][all zeros][mixed]
-  PositionalBitmap bm(3 * 512);
-  for (int64_t i = 0; i < 512; ++i) bm.Set(i);
-  bm.Set(1024 + 7);
-  CompressedBitmap cb = CompressedBitmap::Compress(bm);
-  EXPECT_EQ(cb.num_mixed_blocks(), 1);
-  EXPECT_LT(cb.ByteSize(), bm.ByteSize());
-  EXPECT_TRUE(cb.Test(0));
-  EXPECT_TRUE(cb.Test(511));
-  EXPECT_FALSE(cb.Test(512));
-  EXPECT_TRUE(cb.Test(1024 + 7));
-  EXPECT_FALSE(cb.Test(1024 + 8));
-}
-
-TEST(CompressedBitmapTest, PartialFinalBlock) {
-  PositionalBitmap bm(100);
-  for (int64_t i = 0; i < 100; ++i) bm.Set(i);
-  CompressedBitmap cb = CompressedBitmap::Compress(bm);
-  for (int64_t i = 0; i < 100; ++i) EXPECT_TRUE(cb.Test(i));
 }
 
 }  // namespace

@@ -178,19 +178,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Bool(), ::testing::Values(10, 90),
                        ::testing::Values(0, 10, 90, 100)));
 
-TEST_F(MicroStrategiesTest, Q4BitmapsDisabledStillCorrect) {
-  QueryPlan plan = MicroQ4(/*large_s=*/true, 50, 50);
-  ReferenceEngine oracle(data_->catalog);
-  QueryResult expected = oracle.Execute(plan).value();
-
-  StrategyOptions options;
-  options.enable_positional_bitmaps = false;
-  std::unique_ptr<SwoleStrategy> engine =
-      MakeSwoleStrategy(data_->catalog, options);
-  QueryResult actual = engine->Execute(plan).value();
-  EXPECT_EQ(actual, expected);
-}
-
 class MicroQ5Sweep
     : public MicroStrategiesTest,
       public ::testing::WithParamInterface<std::tuple<bool, int64_t>> {};
@@ -255,21 +242,6 @@ TEST_F(MicroStrategiesTest, Q5EagerAggregationEngagesWithCheapDeletes) {
   QueryPlan plan = MicroQ5(false, 50, TestConfig().s_small_rows);
   ASSERT_TRUE(engine->Execute(plan).ok());
   EXPECT_TRUE(engine->last_decisions().used_eager_aggregation);
-}
-
-TEST_F(MicroStrategiesTest, CompressedBitmapsStillCorrect) {
-  ReferenceEngine oracle(data_->catalog);
-  for (int64_t sel2 : {0, 3, 50, 97, 100}) {
-    QueryPlan plan = MicroQ4(/*large_s=*/true, 60, sel2);
-    QueryResult expected = oracle.Execute(plan).value();
-    StrategyOptions options;
-    options.use_compressed_bitmaps = true;
-    QueryResult actual = MakeStrategy(StrategyKind::kSwole, data_->catalog,
-                                      options)
-                             ->Execute(plan)
-                             .value();
-    EXPECT_EQ(actual, expected) << "build sel " << sel2;
-  }
 }
 
 TEST_F(MicroStrategiesTest, TileSizeDoesNotChangeResults) {

@@ -1,6 +1,6 @@
 // Tests for SWOLE's cost-model-driven technique selection (the Fig. 2
 // heuristics): which technique engages on which plan shape, how the
-// ablation knobs steer it, and that the decision trace is populated.
+// forcing knobs steer it, and that the decision trace is populated.
 
 #include <gtest/gtest.h>
 
@@ -64,14 +64,13 @@ TEST_F(SwoleDecisionsTest, ComputeBoundScalarFallsBackToHybrid) {
   EXPECT_EQ(d.aggregation, "hybrid");
 }
 
-TEST_F(SwoleDecisionsTest, JoinsUseBitmapsUnlessDisabled) {
-  QueryPlan plan = MicroQ4(true, 50, 50);
-  EXPECT_TRUE(Decide(micro_->catalog, plan).used_positional_bitmaps);
-  StrategyOptions no_bitmaps;
-  no_bitmaps.enable_positional_bitmaps = false;
-  QueryPlan plan2 = MicroQ4(true, 50, 50);
+TEST_F(SwoleDecisionsTest, BitmapsOnlyForJoinPlans) {
+  // Every join probes a positional bitmap (§III-D); a join-free plan has
+  // none to probe.
+  EXPECT_TRUE(
+      Decide(micro_->catalog, MicroQ4(true, 50, 50)).used_positional_bitmaps);
   EXPECT_FALSE(
-      Decide(micro_->catalog, plan2, no_bitmaps).used_positional_bitmaps);
+      Decide(micro_->catalog, MicroQ1(false, 50)).used_positional_bitmaps);
 }
 
 TEST_F(SwoleDecisionsTest, AccessMergingEngagesOnSharedAttribute) {

@@ -199,11 +199,10 @@ TEST_P(TpchQuerySweep, AblationFlagsStillCorrect) {
   ReferenceEngine oracle(data_->catalog);
   QueryResult expected = oracle.Execute(plan).value();
 
-  for (int knob = 0; knob < 3; ++knob) {
+  for (int knob = 0; knob < 2; ++knob) {
     StrategyOptions options;
-    if (knob == 0) options.enable_positional_bitmaps = false;
-    if (knob == 1) options.enable_access_merging = false;
-    if (knob == 2) options.enable_eager_aggregation = false;
+    if (knob == 0) options.enable_access_merging = false;
+    if (knob == 1) options.enable_eager_aggregation = false;
     std::unique_ptr<SwoleStrategy> engine =
         MakeSwoleStrategy(data_->catalog, options);
     Result<QueryResult> actual = engine->Execute(plan);
